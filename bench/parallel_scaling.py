@@ -29,11 +29,11 @@ stamping >=1.5x the copying freeze on the Phase-A microbench.
 
 ``--hotpath`` runs the hot-path microbench suite on its own (stamping,
 end-to-end detector, golden-trace corpus replay, and the PR 7
-epoch-adaptive + columnar-batch leg) and writes the machine-readable
-results to ``BENCH_PR4.json`` / ``BENCH_PR7.json`` (see
-``--hotpath-json`` / ``--epoch-json``).  The epoch leg compares the
-compiled full-vector-clock detector against epochs + batched checking on
-a wide-clock, mostly-thread-local workload and is gated at >=3.0x.
+epoch-adaptive leg) and writes the machine-readable results to
+``BENCH_PR4.json`` / ``BENCH_PR7.json`` (see ``--hotpath-json`` /
+``--epoch-json``).  The epoch leg compares the compiled full-vector-clock
+detector against compiled epoch-adaptive clocks, both per event, on a
+wide-clock, mostly-thread-local workload and is gated at >=3.0x.
 It then runs the PR 9 *backend fan-out leg*: the shm execution backend
 vs. the pickle pool, end to end at 8 workers on a wide-clock butterfly
 workload, gated at >=2.0x and recorded in ``BENCH_PR9.json`` (see
@@ -391,7 +391,7 @@ def detector_bench(trace, objects: int, repeats: int = 5) -> dict:
         # adaptive is pinned off so this leg keeps measuring exactly the
         # PR 4 delta (plan compilation + interning + CoW stamping) now
         # that epoch-adaptive clocks are the constructor default; the
-        # epoch win has its own leg and gate (epoch_batch_bench).
+        # epoch win has its own leg and gate (epoch_bench).
         detector = register_all(
             CommutativityRaceDetector(root=0, keep_reports=False,
                                       compiled=compiled, adaptive=False),
@@ -494,7 +494,7 @@ def golden_corpus_bench(repeats: int = 5, passes: int = 20) -> dict:
     }
 
 
-# -- epoch-adaptive + columnar batch leg (PR 7) ------------------------------
+# -- epoch-adaptive leg (PR 7) -----------------------------------------------
 
 
 def contended_trace(events: int, objects: int = 8, threads: int = 64,
@@ -549,38 +549,35 @@ def contended_trace(events: int, objects: int = 8, threads: int = 64,
     return builder.build(stamp=False)
 
 
-def epoch_batch_bench(trace, objects: int, threads: int,
-                      batch_window: int = 256, repeats: int = 5) -> dict:
-    """Epoch-adaptive clocks + columnar batching vs. the PR 4 hot path.
+def epoch_bench(trace, objects: int, threads: int,
+                repeats: int = 5) -> dict:
+    """Epoch-adaptive clocks vs. the PR 4 hot path, both per event.
 
     Both sides run the compiled check-plan loop; the baseline pins
-    ``adaptive=False, batch_window=0`` (exactly the configuration the PR 4
-    gate froze) and the candidate runs epochs plus a columnar check
-    window.  Race and conflict-check counts are asserted identical before
-    any timing counts — the speedup cannot come from dropping work.
+    ``adaptive=False`` (exactly the configuration the PR 4 gate froze)
+    and the candidate runs epochs.  Race and conflict-check counts are
+    asserted identical before any timing counts — the speedup cannot
+    come from dropping work.
     """
-    def run_once(adaptive, window):
+    def run_once(adaptive):
         detector = register_all(
             CommutativityRaceDetector(root=0, keep_reports=False,
-                                      adaptive=adaptive,
-                                      batch_window=window),
+                                      adaptive=adaptive),
             objects)
         return timed_run(detector, trace), detector
 
-    _, fast = run_once(True, batch_window)
-    _, slow = run_once(False, 0)
+    _, fast = run_once(True)
+    _, slow = run_once(False)
     got = (fast.stats.races, fast.stats.conflict_checks)
     want = (slow.stats.races, slow.stats.conflict_checks)
-    assert got == want, f"verdict drift on epoch+batch path: {got} != {want}"
+    assert got == want, f"verdict drift on epoch path: {got} != {want}"
 
     best_fast, best_base = _interleaved_best(
-        lambda: run_once(True, batch_window)[0],
-        lambda: run_once(False, 0)[0], repeats)
+        lambda: run_once(True)[0], lambda: run_once(False)[0], repeats)
     return {
         "events": len(trace),
         "objects": objects,
         "threads": threads,
-        "batch_window": batch_window,
         "races": fast.stats.races,
         "epoch_promotions": fast.stats.epoch_promotions,
         "epoch_seconds": best_fast,
@@ -592,8 +589,7 @@ def epoch_batch_bench(trace, objects: int, threads: int,
 
 
 def hotpath_suite(events: int, objects: int, threads: int, seed: int = 0,
-                  repeats: int = 5, corpus_passes: int = 20,
-                  batch_window: int = 256) -> dict:
+                  repeats: int = 5, corpus_passes: int = 20) -> dict:
     """All four hot-path legs; returns the machine-readable result dict."""
     trace = synthetic_trace(events, objects, threads, seed)
     # The epoch leg pins its own workload shape (64 threads, thread-local
@@ -609,8 +605,7 @@ def hotpath_suite(events: int, objects: int, threads: int, seed: int = 0,
         "benchmark": "hotpath",
         "config": {"events": events, "objects": objects, "threads": threads,
                    "seed": seed, "repeats": repeats,
-                   "corpus_passes": corpus_passes,
-                   "batch_window": batch_window},
+                   "corpus_passes": corpus_passes},
         # The stamping leg has the same floor rationale: 100k events so
         # startup noise can't decide it.
         "stamping": stamping_bench(max(events, 100_000),
@@ -619,9 +614,8 @@ def hotpath_suite(events: int, objects: int, threads: int, seed: int = 0,
         "detector": detector_bench(trace, objects, repeats=repeats),
         "golden_corpus": golden_corpus_bench(repeats=repeats,
                                              passes=corpus_passes),
-        "epoch_batch": epoch_batch_bench(epoch_trace, 8, epoch_threads,
-                                         batch_window=batch_window,
-                                         repeats=repeats),
+        "epoch": epoch_bench(epoch_trace, 8, epoch_threads,
+                             repeats=repeats),
     }
 
 
@@ -637,22 +631,22 @@ def hotpath_gate(events: int, objects: int, threads: int, seed: int = 0,
     Floors (from the PR acceptance criteria): CoW stamping must be
     >=1.5x the seed stamp on the Phase-A microbench, the compiled
     detector >=1.3x the seed path end-to-end (both PR 4), and the
-    epoch-adaptive + columnar-batch detector >=3.0x the compiled
-    full-vector-clock path on the contended workload (PR 7).  As with
-    the overhead gates, a first-attempt breach triggers one longer
-    re-measurement before the verdict sticks.
+    epoch-adaptive detector >=3.0x the compiled full-vector-clock path
+    on the contended workload (PR 7).  As with the overhead gates, a
+    first-attempt breach triggers one longer re-measurement before the
+    verdict sticks.
     """
     def passed(results):
         return (results["stamping"]["speedup"] >= stamping_min
                 and results["detector"]["speedup"] >= detector_min
-                and results["epoch_batch"]["speedup"] >= epoch_min)
+                and results["epoch"]["speedup"] >= epoch_min)
 
     results = hotpath_suite(events, objects, threads, seed,
                             repeats=repeats, corpus_passes=corpus_passes)
     if not passed(results):
         print(f"\nhot-path gate: stamping {results['stamping']['speedup']:.2f}x "
               f"/ detector {results['detector']['speedup']:.2f}x "
-              f"/ epoch+batch {results['epoch_batch']['speedup']:.2f}x below "
+              f"/ epochs {results['epoch']['speedup']:.2f}x below "
               f"the {stamping_min:.1f}x/{detector_min:.1f}x/{epoch_min:.1f}x "
               f"floors on the first attempt; re-measuring")
         results = hotpath_suite(events, objects, threads, seed,
@@ -668,7 +662,7 @@ def hotpath_gate(events: int, objects: int, threads: int, seed: int = 0,
 
     stamping, detector, corpus = (results["stamping"], results["detector"],
                                   results["golden_corpus"])
-    epoch = results["epoch_batch"]
+    epoch = results["epoch"]
     print("\nhot-path microbench (interleaved, best of "
           f"{results['config']['repeats']})")
     print(f"  stamping   ({stamping['threads']} threads): "
@@ -683,8 +677,7 @@ def hotpath_gate(events: int, objects: int, threads: int, seed: int = 0,
           f"compiled {corpus['compiled_events_per_s']:>9.0f} ev/s, "
           f"seed {corpus['seed_events_per_s']:>9.0f} ev/s -> "
           f"{corpus['speedup']:.2f}x")
-    print(f"  epoch+batch ({epoch['threads']} threads, window "
-          f"{epoch['batch_window']}): "
+    print(f"  epochs     ({epoch['threads']} threads): "
           f"epochs {epoch['epoch_events_per_s']:>9.0f} ev/s, "
           f"full VC {epoch['fullvc_events_per_s']:>9.0f} ev/s -> "
           f"{epoch['speedup']:.2f}x (floor {epoch_min:.1f}x, "
@@ -697,19 +690,19 @@ def hotpath_gate(events: int, objects: int, threads: int, seed: int = 0,
             out.write("\n")
         print(f"hot-path results written to {json_path}")
     if epoch_json_path:
-        # The PR 7 record stands alone: the epoch+batch leg plus its gate,
-        # in the same machine-readable shape as the PR 4 file.
+        # The PR 7 record stands alone: the epoch leg plus its gate, in
+        # the same machine-readable shape as the PR 4 file.
         pr7 = {
-            "benchmark": "epoch_batch",
+            "benchmark": "epoch",
             "config": results["config"],
-            "epoch_batch": epoch,
+            "epoch": epoch,
             "gates": {"epoch_min": epoch_min,
                       "pass": epoch["speedup"] >= epoch_min},
         }
         with open(epoch_json_path, "w", encoding="utf-8") as out:
             json.dump(pr7, out, indent=2, sort_keys=True)
             out.write("\n")
-        print(f"epoch+batch results written to {epoch_json_path}")
+        print(f"epoch results written to {epoch_json_path}")
     return ok
 
 
@@ -1070,7 +1063,7 @@ def main(argv=None) -> int:
     parser.add_argument("--epoch-json", metavar="PATH",
                         default="BENCH_PR7.json",
                         help="where --hotpath/--smoke write the "
-                             "epoch+batch leg's standalone record "
+                             "epoch leg's standalone record "
                              "(default: %(default)s)")
     parser.add_argument("--backend-json", metavar="PATH",
                         default="BENCH_PR9.json",

@@ -120,20 +120,6 @@ def _parse_prune_interval(args) -> int:
     return interval
 
 
-def _parse_batch_window(args) -> int:
-    """Validate ``--batch-window`` (0 = per-event checking, the default)."""
-    if args.batch_window is None:
-        return 0
-    try:
-        window = int(args.batch_window)
-    except ValueError:
-        _fail(f"--batch-window expects a positive integer, got "
-              f"{args.batch_window!r}", EXIT_USAGE)
-    if window < 1:
-        _fail(f"--batch-window must be >= 1, got {window}", EXIT_USAGE)
-    return window
-
-
 def _parse_predict(args) -> int:
     """Validate ``--predict[=WINDOW]`` (0 = prediction off, the default)."""
     if args.predict is None:
@@ -201,7 +187,6 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
                            resume_from: Optional[str] = None,
                            adaptive: bool = True,
                            prune_interval: int = 0,
-                           batch_window: int = 0,
                            backend: str = "pickle",
                            predict_window: int = 0,
                            ) -> Tuple[int, Optional[Dict[str, Any]],
@@ -217,7 +202,6 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
         detector = ShardedDetector(root=trace.root, workers=workers,
                                    adaptive=adaptive,
                                    prune_interval=prune_interval,
-                                   batch_window=batch_window,
                                    obs=obs, supervisor=supervisor,
                                    checkpoint=checkpoint,
                                    resume_from=resume_from,
@@ -231,7 +215,6 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
         detector = CommutativityRaceDetector(root=trace.root,
                                              adaptive=adaptive,
                                              prune_interval=prune_interval,
-                                             batch_window=batch_window,
                                              obs=obs,
                                              predict_window=predict_window)
     else:
@@ -274,7 +257,6 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
 
 def _analyze_follow(path: str, bindings, obs=NULL_REGISTRY,
                     adaptive: bool = True, prune_interval: int = 0,
-                    batch_window: int = 0,
                     window: int = 1024, idle_timeout: float = 10.0,
                     stats_json: Optional[str] = None,
                     meta_base: Optional[Dict[str, Any]] = None,
@@ -324,7 +306,6 @@ def _analyze_follow(path: str, bindings, obs=NULL_REGISTRY,
         analyzer = StreamAnalyzer(root=root, on_race=on_race,
                                   prune_interval=prune_interval,
                                   window=window, adaptive=adaptive,
-                                  batch_window=batch_window,
                                   obs=obs, on_window=snapshot,
                                   predict_window=predict_window)
         for name, kind in bindings:
@@ -435,14 +416,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "worker processes (two-phase sharded pipeline; "
                              "default 1 = sequential)")
     parser.add_argument("--backend", default="pickle",
-                        choices=["auto", "pickle", "shm", "thread",
-                                 "subinterp"],
+                        choices=["auto", "pickle", "shm", "thread"],
                         help="shard fan-out transport for --workers > 1: "
                              "pickle pool (default), shared-memory record "
-                             "rings (shm), in-process threads, "
-                             "subinterpreters, or auto; a request the "
-                             "runtime cannot honor falls back with a "
-                             "reason logged to stderr")
+                             "rings (shm), in-process threads, or auto; a "
+                             "request the runtime cannot honor falls back "
+                             "with a reason logged to stderr")
     parser.add_argument("--shard-timeout", default=None, metavar="SECONDS",
                         help="per-shard supervision timeout for --workers "
                              "runs (default 120)")
@@ -459,22 +438,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "written by a previous run on the same trace "
                              "(a rejected checkpoint degrades to a full "
                              "restamp)")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="epoch-adaptive point clocks for rd2 (now the "
-                             "default; kept for compatibility): keep an "
-                             "O(1) epoch per access point until genuine "
-                             "cross-thread contention inflates it to a "
-                             "full vector clock (report-preserving)")
     parser.add_argument("--no-epochs", action="store_true", dest="no_epochs",
                         help="rd2 debug switch: disable epoch-adaptive "
                              "point clocks and store a full vector clock "
                              "per access point from the first touch")
-    parser.add_argument("--batch-window", default=None, metavar="N",
-                        dest="batch_window",
-                        help="rd2: buffer N stamped actions into columnar "
-                             "struct-of-arrays and run Algorithm 1 one "
-                             "window at a time instead of per event "
-                             "(report-preserving; default 0 = per-event)")
     parser.add_argument("--prune-interval", default=None, metavar="N",
                         dest="prune_interval",
                         help="rd2: every N actions, reclaim active points "
@@ -558,18 +525,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if rd2_only and (args.detector != "rd2" or args.atomicity):
         _fail("--workers, --shard-*, --checkpoint and --resume-from apply "
               "only to the rd2 detector", EXIT_USAGE)
-    if args.adaptive and (args.detector != "rd2" or args.atomicity):
-        _fail("--adaptive applies only to the rd2 detector", EXIT_USAGE)
     if args.no_epochs and (args.detector != "rd2" or args.atomicity):
         _fail("--no-epochs applies only to the rd2 detector", EXIT_USAGE)
-    if args.no_epochs and args.adaptive:
-        _fail("--no-epochs contradicts --adaptive", EXIT_USAGE)
-    # Epoch adaptivity is report-preserving and the default; --adaptive
-    # survives as an explicit opt-in no-op, --no-epochs is the debug out.
+    # Epoch adaptivity is report-preserving and the default; --no-epochs
+    # is the debug out.
     adaptive = not args.no_epochs
-    batch_window = _parse_batch_window(args)
-    if batch_window and (args.detector != "rd2" or args.atomicity):
-        _fail("--batch-window applies only to the rd2 detector", EXIT_USAGE)
     prune_interval = _parse_prune_interval(args)
     if prune_interval and (args.detector != "rd2" or args.atomicity):
         _fail("--prune-interval applies only to the rd2 detector", EXIT_USAGE)
@@ -626,7 +586,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.follow:
             code, events_total, predicted = _analyze_follow(
                 args.trace, bindings, obs=obs, adaptive=adaptive,
-                prune_interval=prune_interval, batch_window=batch_window,
+                prune_interval=prune_interval,
                 window=window if window is not None else 1024,
                 idle_timeout=(follow_timeout if follow_timeout is not None
                               else 10.0),
@@ -647,8 +607,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     trace, bindings, args.detector, workers=workers, obs=obs,
                     supervisor=supervisor, checkpoint=checkpoint,
                     resume_from=args.resume_from, adaptive=adaptive,
-                    prune_interval=prune_interval,
-                    batch_window=batch_window, backend=args.backend,
+                    prune_interval=prune_interval, backend=args.backend,
                     predict_window=predict_window)
             else:
                 code, faults = _analyze_memory(trace, args.detector, obs=obs)

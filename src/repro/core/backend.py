@@ -1,6 +1,6 @@
 """Runtime selection of the shard fan-out execution backend.
 
-The sharded pipeline can push stamped actions to workers four ways:
+The sharded pipeline can push stamped actions to workers three ways:
 
 ``pickle``
     The original path: full payload pickled per shard into a
@@ -16,12 +16,6 @@ The sharded pipeline can push stamped actions to workers four ways:
     parallelism win on free-threaded (PEP 703, 3.13t) interpreters;
     on a GIL build it is selected only when explicitly requested
     (useful for debugging — zero IPC of any kind).
-``subinterp``
-    One subinterpreter per shard via the low-level
-    ``_interpreters``/``_xxsubinterpreters`` module where a *usable*
-    implementation exists.  Payloads cross as pickled bytes, but
-    workers escape the main interpreter's GIL on per-interpreter-GIL
-    builds (3.12+).
 
 ``resolve_backend`` turns a user request (including ``auto``) into a
 :class:`BackendChoice` with the selected mode and a human-readable
@@ -32,19 +26,15 @@ optional runtime feature is missing.
 
 from __future__ import annotations
 
-import os
-import pickle
 import sys
 import sysconfig
-import tempfile
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 __all__ = ["BACKENDS", "BackendChoice", "resolve_backend", "shm_available",
-           "free_threaded", "subinterpreters_available",
-           "run_pickled_in_subinterpreter"]
+           "free_threaded"]
 
-BACKENDS = ("auto", "pickle", "shm", "thread", "subinterp")
+BACKENDS = ("auto", "pickle", "shm", "thread")
 
 
 @dataclass(frozen=True)
@@ -62,7 +52,6 @@ class BackendChoice:
 
 
 _SHM_PROBE: Optional[bool] = None
-_SUBINTERP_PROBE: Optional[Tuple[bool, str]] = None
 
 
 def shm_available() -> bool:
@@ -95,88 +84,11 @@ def free_threaded() -> bool:
     return bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
 
 
-def _subinterp_module():
-    try:
-        import _interpreters  # 3.13+
-        return _interpreters
-    except ImportError:
-        pass
-    try:
-        import _xxsubinterpreters  # 3.8–3.12 (API drifts per version)
-        return _xxsubinterpreters
-    except ImportError:
-        return None
-
-
-def _run_in_new_interpreter(code: str) -> None:
-    """Create → run → destroy one subinterpreter; raise on any failure."""
-    mod = _subinterp_module()
-    if mod is None:
-        raise RuntimeError("no subinterpreter module")
-    interp = mod.create()
-    try:
-        runner = getattr(mod, "run_string", None) or getattr(mod, "exec", None)
-        if runner is None:
-            raise RuntimeError("no run entry point")
-        result = runner(interp, code)
-        # 3.13's _interpreters.exec returns an error snapshot instead of
-        # raising; older run_string raises RunFailedError itself.
-        if result is not None:
-            raise RuntimeError(str(result))
-    finally:
-        try:
-            mod.destroy(interp)
-        except Exception:
-            pass
-
-
-def subinterpreters_available() -> Tuple[bool, str]:
-    """(usable, detail) — probed by actually running code in one."""
-    global _SUBINTERP_PROBE
-    if _SUBINTERP_PROBE is None:
-        if _subinterp_module() is None:
-            _SUBINTERP_PROBE = (False, "no _interpreters module")
-        else:
-            try:
-                _run_in_new_interpreter("x = 1 + 1")
-                _SUBINTERP_PROBE = (True, "")
-            except Exception as exc:
-                _SUBINTERP_PROBE = (False, f"probe failed: {exc}")
-    return _SUBINTERP_PROBE
-
-
-def run_pickled_in_subinterpreter(payload_blob: bytes, run_code: str) -> bytes:
-    """Execute ``run_code`` in a fresh subinterpreter and return its bytes.
-
-    The payload and result cross the interpreter boundary through temp
-    files — the lowest common denominator across every ``_interpreters``
-    API generation (channel APIs exist but differ per version).
-    ``run_code`` is formatted with ``{payload!r}``/``{result!r}`` paths
-    and must pickle its result to the ``{result}`` file.
-    """
-    with tempfile.NamedTemporaryFile(delete=False) as fin:
-        fin.write(payload_blob)
-        payload_path = fin.name
-    result_path = payload_path + ".out"
-    code = run_code.format(payload=payload_path, result=result_path,
-                           sys_path=sys.path)
-    try:
-        _run_in_new_interpreter(code)
-        with open(result_path, "rb") as fout:
-            return fout.read()
-    finally:
-        for path in (payload_path, result_path):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-
 def resolve_backend(requested: str) -> BackendChoice:
     """Map a requested backend to a usable one, never failing hard.
 
-    Fallback chains: ``shm → pickle``, ``subinterp → shm → pickle``,
-    ``auto → thread`` (free-threaded only) ``→ shm → pickle``.
+    Fallback chains: ``shm → pickle`` and ``auto → thread``
+    (free-threaded only) ``→ shm → pickle``.
     ``thread`` and ``pickle`` are always honored as requested.
     """
     if requested not in BACKENDS:
@@ -190,17 +102,6 @@ def resolve_backend(requested: str) -> BackendChoice:
             return BackendChoice(requested, "shm")
         return BackendChoice(requested, "pickle",
                              "shared memory unavailable on this host")
-    if requested == "subinterp":
-        usable, detail = subinterpreters_available()
-        if usable:
-            return BackendChoice(requested, "subinterp")
-        if shm_available():
-            return BackendChoice(requested, "shm",
-                                 f"subinterpreters unusable ({detail})")
-        return BackendChoice(
-            requested, "pickle",
-            f"subinterpreters unusable ({detail}); shared memory "
-            f"unavailable")
     # auto
     if free_threaded():
         return BackendChoice(requested, "thread",
@@ -214,6 +115,5 @@ def resolve_backend(requested: str) -> BackendChoice:
 
 def _reset_probe_cache() -> None:
     """Test hook: forget cached probe results."""
-    global _SHM_PROBE, _SUBINTERP_PROBE
+    global _SHM_PROBE
     _SHM_PROBE = None
-    _SUBINTERP_PROBE = None

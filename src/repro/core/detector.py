@@ -61,9 +61,8 @@ from .access_points import AccessPoint, AccessPointRepresentation, SchemaId
 from .errors import MonitorError, SpecificationError
 from .events import Action, Event, EventKind, ObjectId
 from .hb import HappensBeforeTracker
-from .plan import (CheckPlan, _BatchBuffer, _PointClock, _PointEpoch,
-                   _as_clock, _point_ordered, _process_compiled,
-                   compile_check_plan)
+from .plan import (CheckPlan, _PointClock, _PointEpoch, _as_clock,
+                   _point_ordered, _process_compiled, compile_check_plan)
 from .races import CommutativityRace
 from .vector_clock import Tid, VectorClock
 
@@ -216,18 +215,6 @@ class CommutativityRaceDetector:
         cached candidate tuples, no per-action ηo validation).  Verdict
         and counter preserving; ``compiled=False`` keeps the generic
         interpreted path everywhere (the hot-path benchmark's baseline).
-    batch_window:
-        When > 0, compiled-plan actions are accumulated in a columnar
-        :class:`~repro.core.plan._BatchBuffer` of up to ``batch_window``
-        stamped actions and checked in one flat pass per window (struct-
-        of-arrays columns, per-event dispatch hoisted out).  Events are
-        still applied strictly in trace order, so verdicts, report order
-        and obs attribution are byte-identical to ``batch_window=0`` —
-        but races surface on the ``process`` call that *flushes* the
-        window, not necessarily the one that observed the racing action
-        (``races``/``on_race`` ordering is unaffected).  Callers driving
-        ``process`` directly must call :meth:`flush_batch` (``run`` and
-        every maintenance entry point flush automatically).
     predict_window:
         When > 0, the detector additionally runs the predictive pass of
         :mod:`repro.core.predict` over the processed trace: every event
@@ -250,12 +237,8 @@ class CommutativityRaceDetector:
         adaptive: bool = True,
         obs=None,
         compiled: bool = True,
-        batch_window: int = 0,
         predict_window: int = 0,
     ):
-        if batch_window < 0:
-            raise MonitorError(
-                f"batch_window must be >= 0, got {batch_window}")
         if predict_window < 0:
             raise MonitorError(
                 f"predict_window must be >= 0, got {predict_window}")
@@ -267,7 +250,6 @@ class CommutativityRaceDetector:
         self._prune_interval = prune_interval
         self._adaptive = adaptive
         self._compiled = compiled
-        self._batch = _BatchBuffer(self, batch_window) if batch_window else None
         self._actions_since_prune = 0
         self._objects: Dict[ObjectId, _ObjectState] = {}
         self.races: List[CommutativityRace] = []
@@ -278,8 +260,8 @@ class CommutativityRaceDetector:
         # Touched-point capture: the compiled loop resolves ηo for every
         # action anyway, so in predict mode it stashes the tuple and the
         # predictor reuses it instead of re-evaluating the formulas on
-        # refeed.  Keyed by log position; missing entries (batch path,
-        # plan-less objects) fall back to recomputing.
+        # refeed.  Keyed by log position; plan-less objects have no entry
+        # and fall back to recomputing.
         self._predict_points: Optional[Dict[int, tuple]] = (
             {} if predict_window else None)
         self._predict_last: Optional[tuple] = None
@@ -348,19 +330,6 @@ class CommutativityRaceDetector:
         """
         self._objects.pop(obj, None)
 
-    def flush_batch(self) -> Optional[List[CommutativityRace]]:
-        """Drain the columnar batch buffer, if one is pending.
-
-        Every maintenance entry point (pruning, compaction, deflation) and
-        :meth:`run` flushes automatically; callers that drive
-        :meth:`process` directly with ``batch_window > 0`` flush here
-        once the trace ends.  No-op without batching.
-        """
-        batch = self._batch
-        if batch is not None and batch.count:
-            return batch.flush()
-        return None
-
     def prune_ordered_points(self) -> int:
         """Reclaim active points that can never race again.
 
@@ -378,7 +347,6 @@ class CommutativityRaceDetector:
         Enable automatic invocation with the ``prune_interval`` constructor
         parameter (every N actions).
         """
-        self.flush_batch()
         live_clocks = self._hb.live_clocks()
         reclaimed = 0
         for obj, state in self._objects.items():
@@ -396,7 +364,6 @@ class CommutativityRaceDetector:
         reaching the exact per-object state (and stats) the sequential
         detector's :meth:`prune_ordered_points` would at that boundary.
         """
-        self.flush_batch()
         state = self._objects.get(obj)
         if state is None:
             return 0
@@ -488,7 +455,6 @@ class CommutativityRaceDetector:
         """
         if not self._adaptive:
             return 0
-        self.flush_batch()
         live_clocks = self._hb.live_clocks()
         if not live_clocks:
             return 0
@@ -533,7 +499,6 @@ class CommutativityRaceDetector:
         Returns the number of components retired.  Point clocks are
         rebuilt, never mutated: reported races may alias them.
         """
-        self.flush_batch()
         floors = []
         for state in self._objects.values():
             for prior in state.point_clock.values():
@@ -659,15 +624,7 @@ class CommutativityRaceDetector:
             return None
         self.stats.actions += 1
         if state.plan is not None:
-            batch = self._batch
-            if batch is not None:
-                return batch.enqueue(state, action, event.index, event.tid,
-                                     clock)
             return _process_compiled(self, state, action, event.tid, clock)
-        if self._batch is not None and self._batch.count:
-            # Plan-less objects run inline; drain the buffer first so the
-            # global race order stays the sequential one.
-            self._batch.flush()
         rep = state.representation
         points = rep.points_of(action)
         self.stats.points_touched += len(points)
@@ -830,7 +787,6 @@ class CommutativityRaceDetector:
         """Process an iterable of events; return all races found."""
         for event in events:
             self.process(event)
-        self.flush_batch()
         if self._predict_log is not None:
             self.predict()
         return self.races
@@ -846,7 +802,6 @@ class CommutativityRaceDetector:
         """
         if self._predict_log is None:
             raise MonitorError("predict() requires predict_window > 0")
-        self.flush_batch()
         predictor = self._predictor
         if predictor is None:
             from .predict import Predictor

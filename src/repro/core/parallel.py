@@ -53,8 +53,7 @@ import time
 from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .backend import (BackendChoice, resolve_backend,
-                      run_pickled_in_subinterpreter)
+from .backend import BackendChoice, resolve_backend
 from .checkpoint import (CHECKPOINT_VERSION, Checkpoint, CheckpointConfig,
                          CheckpointWriter, event_fingerprint, load_checkpoint)
 from .detector import CommutativityRaceDetector, DetectorStats, Strategy
@@ -107,8 +106,7 @@ def partition_by_load(loads: Sequence[Tuple[ObjectId, int]],
 # triggering action, live-thread clocks at that moment)`` — what a shard
 # worker needs to prune exactly where (and with exactly the clocks) the
 # sequential detector's ``prune_interval`` counter would.
-# ``batch_window`` turns on the worker detectors' columnar batch checking.
-_ShardPayload = Tuple[bool, Strategy, bool, Optional[int], bool, int,
+_ShardPayload = Tuple[bool, Strategy, bool, Optional[int], bool,
                       List[Tuple[int, List[Any]]],
                       List[Tuple[ObjectId, Any, Optional[Strategy], Any,
                                  List[Tuple[Any, ...]]]]]
@@ -133,25 +131,25 @@ def _analyze_shard(payload: _ShardPayload):
     pool's cost for report-dense traces, mirroring why the sequential
     detector grew ``keep_reports=False`` for long benchmark runs.
     """
-    (adaptive, strategy, need_reports, obs_interval, compiled, batch_window,
+    (adaptive, strategy, need_reports, obs_interval, compiled,
      prune_snaps, objects) = payload
-    detector, obs, triples, batch = _build_shard_detector(
-        adaptive, strategy, need_reports, obs_interval, compiled,
-        batch_window, [entry[:4] for entry in objects])
-    _replay_stamped(detector, obs, triples, batch, need_reports, prune_snaps,
-                    ((obj, packed_actions)
-                     for obj, _, _, _, packed_actions in objects))
+    detector, obs = _build_shard_detector(
+        adaptive, strategy, obs_interval, compiled,
+        [entry[:4] for entry in objects])
+    triples = _replay_stamped(detector, obs, need_reports, prune_snaps,
+                              ((obj, packed_actions)
+                               for obj, _, _, _, packed_actions in objects))
     return triples, detector.stats, obs
 
 
-def _build_shard_detector(adaptive, strategy, need_reports, obs_interval,
-                          compiled, batch_window, registrations):
+def _build_shard_detector(adaptive, strategy, obs_interval, compiled,
+                          registrations):
     """Construct one shard worker's detector from its registrations.
 
     ``registrations`` is ``(obj, representation, strategy, plan)`` tuples —
     the shard payload minus the stamped actions, which arrive either
     inside the payload (pickle backend) or through a shared-memory ring
-    (shm backend).  Returns ``(detector, obs, triples, batch)``.
+    (shm backend).  Returns ``(detector, obs)``.
     """
     obs = None
     if obs_interval is not None:
@@ -159,29 +157,24 @@ def _build_shard_detector(adaptive, strategy, need_reports, obs_interval,
         obs = Registry(sample_interval=obs_interval)
     detector = CommutativityRaceDetector(strategy=strategy, adaptive=adaptive,
                                          keep_reports=False, obs=obs,
-                                         compiled=compiled,
-                                         batch_window=batch_window)
+                                         compiled=compiled)
     for obj, representation, obj_strategy, plan in registrations:
         detector.register_object(obj, representation, obj_strategy, plan=plan)
-    triples: List[Tuple[int, int, CommutativityRace]] = []
-    # With batching, _process_action's return value covers whole flushed
-    # windows, not single events — the buffer itself records every race as
-    # a (trace index, seq) triple straight into the merge format instead.
-    batch = detector._batch
-    if batch is not None and need_reports:
-        batch.tagged_races = triples
-    return detector, obs, triples, batch
+    return detector, obs
 
 
-def _replay_stamped(detector, obs, triples, batch, need_reports, prune_snaps,
-                    streams) -> None:
+def _replay_stamped(detector, obs, need_reports, prune_snaps,
+                    streams) -> List[Tuple[int, int, CommutativityRace]]:
     """Replay per-object stamped-action streams through Algorithm 1.
 
     ``streams`` yields ``(obj, iterable_of_packed_actions)`` — a list per
     object for the pickle backend, a live ring-decoder iterator for the
     shm backend; the replay is oblivious to which, so both backends run
     the *identical* code path and stay byte-identical by construction.
+    Returns the races as ``(trace index, seq, race)`` triples, the merge
+    format (empty unless ``need_reports``).
     """
+    triples: List[Tuple[int, int, CommutativityRace]] = []
     # One reusable Event shell per shard: the detector reads (and the race
     # reports capture) only the per-iteration action/tid/clock values, so
     # rebuilding the carrier dataclass per event is avoidable overhead.
@@ -195,12 +188,6 @@ def _replay_stamped(detector, obs, triples, batch, need_reports, prune_snaps,
         # determined by its own actions with index <= boundary, so
         # applying each snapshot between the surrounding actions replays
         # the sequential prune (and its stats) exactly.
-        #
-        # Only plan-backed objects go through the batch buffer (and hence
-        # the tagged_races sink); a plan-less object's races keep coming
-        # back inline from _process_action and must be collected here even
-        # when a buffer exists for the shard's other objects.
-        inline = batch is None or detector._objects[obj].plan is None
         snap_at = 0
         for packed in packed_actions:
             index, shell.tid, method, args, returns, shell.clock = packed
@@ -214,17 +201,17 @@ def _replay_stamped(detector, obs, triples, batch, need_reports, prune_snaps,
             if obs is not None:
                 detector._obs_advance()
             found = detector._process_action(shell, shell.clock)
-            if inline and found and need_reports:
+            if found and need_reports:
                 triples.extend((index, seq, race)
                                for seq, race in enumerate(found))
         while snap_at < snap_count:
             detector.prune_object_with_clocks(obj, prune_snaps[snap_at][1])
             snap_at += 1
-    detector.flush_batch()
     if obs is not None:
         # One exact span per shard: merged, the "shard" timer sums replay
         # CPU time across shards (vs. the facade's "fanout" wall clock).
         obs.timer("shard").record(perf_counter_ns() - replay_start)
+    return triples
 
 
 def _shard_job(index: int, payload: _ShardPayload, attempt: int):
@@ -275,7 +262,7 @@ def _diagnose_unpicklable(payload: _ShardPayload,
     return None
 
 
-# -- shared-memory / thread / subinterpreter backends -------------------------
+# -- shared-memory / thread backends -----------------------------------------
 
 def _shm_worker_main(ring_name: str, init_blob: bytes, conn) -> None:
     """Process target for the shm backend: decode-from-ring and replay.
@@ -289,16 +276,15 @@ def _shm_worker_main(ring_name: str, init_blob: bytes, conn) -> None:
     """
     try:
         (adaptive, strategy, need_reports, obs_interval, compiled,
-         batch_window, prune_snaps, registrations) = pickle.loads(init_blob)
+         prune_snaps, registrations) = pickle.loads(init_blob)
         ring = RecordRing.attach(ring_name)
         try:
-            detector, obs, triples, batch = _build_shard_detector(
-                adaptive, strategy, need_reports, obs_interval, compiled,
-                batch_window, registrations)
+            detector, obs = _build_shard_detector(
+                adaptive, strategy, obs_interval, compiled, registrations)
             objs = [entry[0] for entry in registrations]
             decoder = StampedDecoder(ring)
-            _replay_stamped(
-                detector, obs, triples, batch, need_reports, prune_snaps,
+            triples = _replay_stamped(
+                detector, obs, need_reports, prune_snaps,
                 ((objs[position], actions)
                  for position, actions in decoder.streams()))
             result = (triples, detector.stats, obs)
@@ -343,29 +329,10 @@ class _ShmJob:
         self.failure = (self.index, self.attempt, kind, detail, retryable)
 
 
-#: Subinterpreter shard script: rehydrate the payload from its temp file,
-#: run the ordinary shard worker, pickle the result back out.  Formatted
-#: by :func:`repro.core.backend.run_pickled_in_subinterpreter`.
-_SUBINTERP_RUN = """\
-import pickle, sys
-for _p in {sys_path!r}:
-    if _p not in sys.path:
-        sys.path.append(_p)
-from repro.core.parallel import _analyze_shard
-with open({payload!r}, "rb") as _f:
-    _payload = pickle.load(_f)
-_result = _analyze_shard(_payload)
-with open({result!r}, "wb") as _f:
-    pickle.dump(_result, _f, protocol=pickle.HIGHEST_PROTOCOL)
-"""
-
-
 def _futures_round(config: SupervisorConfig, task):
-    """Build a supervisor round runner over an in-process thread pool.
+    """Build the ``thread`` backend's supervisor round runner.
 
-    Shared by the ``thread`` backend (task = the supervised worker) and
-    the ``subinterp`` backend (task = run-payload-in-a-subinterpreter):
-    both execute shards from threads of this process, so pool-generation
+    Shards run from threads of this process, so pool-generation
     management reduces to a ``ThreadPoolExecutor`` with the supervisor's
     per-round deadline.
     """
@@ -464,22 +431,15 @@ class ShardedDetector:
         ``interned_points_evicted`` all match the sequential detector's.
         Not combinable with ``checkpoint``/``resume_from`` (the boundary
         snapshots are not checkpointed).
-    batch_window:
-        As for the sequential detector: when > 0, each shard worker's
-        detector accumulates up to this many stamped actions in columnar
-        form and checks them in one pass per window.  Races come back as
-        ``(trace index, seq)``-tagged triples either way, so the merged
-        output is byte-identical to ``batch_window=0``.
     backend:
         Phase-B transport: ``"pickle"`` (the default; payloads pickled
         into a process pool), ``"shm"`` (stamped actions streamed through
         per-shard ``multiprocessing.shared_memory`` record rings — only
         the per-worker registrations/knobs are pickled, once),
         ``"thread"`` (in-process thread pool; a parallelism win only on
-        free-threaded interpreters), ``"subinterp"`` (one subinterpreter
-        per shard where the runtime supports it), or ``"auto"``.
-        Requests the runtime cannot honor fall back (shm → pickle,
-        subinterp → shm → pickle) — the outcome, with its reason, is in
+        free-threaded interpreters), or ``"auto"``.  Requests the runtime
+        cannot honor fall back (shm → pickle) — the outcome, with its
+        reason, is in
         :attr:`backend`, a :class:`~repro.core.backend.BackendChoice`.
         All backends produce byte-identical merged reports.
     ring_slots / ring_side_bytes:
@@ -514,15 +474,11 @@ class ShardedDetector:
         resume_from: Optional[str] = None,
         compiled: bool = True,
         prune_interval: int = 0,
-        batch_window: int = 0,
         backend: str = "pickle",
         ring_slots: Optional[int] = None,
         ring_side_bytes: Optional[int] = None,
         predict_window: int = 0,
     ):
-        if batch_window < 0:
-            raise MonitorError(
-                f"batch_window must be >= 0, got {batch_window}")
         if predict_window < 0:
             raise MonitorError(
                 f"predict_window must be >= 0, got {predict_window}")
@@ -556,7 +512,6 @@ class ShardedDetector:
         self._checkpoint = checkpoint
         self._resume_from = resume_from
         self._compiled = compiled
-        self._batch_window = batch_window
         #: Resolved execution backend for phase B (request, selection,
         #: fallback reason) — resolved eagerly so callers can log the
         #: outcome before the first run.
@@ -817,7 +772,7 @@ class ShardedDetector:
                        for obj in shard_objs]
             payloads.append((self._adaptive, self._strategy, need_reports,
                              obs_interval, self._compiled,
-                             self._batch_window, self._prune_snaps, objects))
+                             self._prune_snaps, objects))
         if not payloads:
             return []
         if self.workers <= 1 or len(payloads) == 1:
@@ -845,12 +800,6 @@ class ShardedDetector:
         # identical results under every backend.
         if selected == "thread":
             runner = _futures_round(config, supervisor.worker)
-        elif selected == "subinterp":
-            def subinterp_task(index, payload, attempt):
-                blob = supervisor.payload_blob(index, payload)
-                return pickle.loads(
-                    run_pickled_in_subinterpreter(blob, _SUBINTERP_RUN))
-            runner = _futures_round(config, subinterp_task)
         else:
             runner = self._shm_round(config)
         return supervisor.run_rounds(payloads, runner)
@@ -880,7 +829,7 @@ class ShardedDetector:
                 return blob
             start = perf_counter_ns()
             blob = pickle.dumps(
-                payload[:7] + ([entry[:4] for entry in payload[7]],),
+                payload[:6] + ([entry[:4] for entry in payload[6]],),
                 protocol=pickle.HIGHEST_PROTOCOL)
             if obs is not None:
                 obs.add("ipc_bytes_pickled", len(blob))
@@ -908,7 +857,7 @@ class ShardedDetector:
                     encoder = StampedEncoder(ring)
                     states.append(_ShmJob(
                         index, attempt, ring, recv_conn, proc, encoder,
-                        feed_shard(encoder, payloads[index][7])))
+                        feed_shard(encoder, payloads[index][6])))
                 deadline = (time.monotonic() + config.shard_timeout
                             if config.shard_timeout is not None else None)
                 # Feed phase: interleave all shards' encodes; a blocked

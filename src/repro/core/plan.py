@@ -48,19 +48,6 @@ exists), and deflates back to an epoch the moment an ordered touch —
 or a maintenance window, see
 :meth:`~repro.core.detector.CommutativityRaceDetector.
 deflate_point_clocks` — re-establishes one.
-
-Columnar batch checking
------------------------
-
-:class:`_BatchBuffer` accumulates a window of stamped actions in
-struct-of-arrays form (parallel arrays of tids, clocks, object states and
-a flat interned-point array with per-event offsets) and runs Algorithm 1
-over the whole window in one flat loop with every hot name bound to a
-local.  Within the window events are still applied strictly in trace
-order — phase 2 of event *i* precedes phase 1 of event *i+1* — so race
-verdicts, report order and ``repro.obs`` attribution are byte-identical
-to per-event processing; the batch only amortizes the per-event dispatch
-(attribute walks, method calls, counter bumps) across the window.
 """
 
 from __future__ import annotations
@@ -342,208 +329,3 @@ def _process_compiled(det, state, action: Action, tid: Tid,
                                     det._obs_interval)
     return found or None
 
-
-# -- columnar batch checking --------------------------------------------------
-
-
-class _BatchBuffer:
-    """A window of pending compiled actions in struct-of-arrays form.
-
-    ``enqueue`` resolves ηo at arrival time (so ``SpecificationError``s
-    fire on the same ``process`` call the generic path raises them on)
-    and appends one entry per parallel column: tag (trace index), tid,
-    event clock, object state, action, obs-sampling flag, and the
-    touched interned points flattened into one array with per-event
-    offsets.  ``flush`` then replays Algorithm 1 over the whole window
-    in a single flat loop — events strictly in order, phase 2 of event
-    *i* before phase 1 of event *i+1* — with the per-event dispatch
-    cost (attribute walks, method calls, stat bumps) hoisted out.
-
-    The detector drains the buffer before anything reads or rewrites
-    point state out-of-band (pruning, clock compaction, deflation, end
-    of a run), so batched runs stay byte-identical to per-event runs.
-
-    ``tagged_races``, when set to a list, additionally receives
-    ``(tag, seq, race)`` triples — the sharded pipeline's merge format —
-    since the per-call return value no longer maps 1:1 to events.
-    """
-
-    __slots__ = ("det", "window", "count", "tags", "tids", "clocks",
-                 "states", "actions", "sampled", "points_flat",
-                 "points_off", "tagged_races")
-
-    def __init__(self, det, window: int):
-        self.det = det
-        self.window = window
-        self.count = 0
-        self.tags: List[int] = []
-        self.tids: List[Tid] = []
-        self.clocks: List[VectorClock] = []
-        self.states: List[Any] = []
-        self.actions: List[Action] = []
-        self.sampled: List[bool] = []
-        self.points_flat: List[AccessPoint] = []
-        self.points_off: List[int] = [0]
-        #: optional sink for ``(tag, seq, race)`` triples (shard workers)
-        self.tagged_races: Optional[List[Tuple[int, int, Any]]] = None
-
-    def enqueue(self, state, action: Action, tag: int, tid: Tid,
-                clock: VectorClock):
-        """Buffer one stamped action; flush (and return races) when full."""
-        det = self.det
-        flat = self.points_flat
-        touched_start = len(flat)
-        interned = state.interned
-        append = flat.append
-        try:
-            for schema, value in state.plan.touches(action):
-                pt = interned.get((schema, value))
-                if pt is None:
-                    pt = _intern_point(state, action, schema, value)
-                append(pt)
-        except BaseException:
-            # Keep the columns consistent: this event was never enqueued.
-            del flat[touched_start:]
-            raise
-        det.stats.points_touched += len(flat) - touched_start
-        self.tags.append(tag)
-        self.tids.append(tid)
-        self.clocks.append(clock)
-        self.states.append(state)
-        self.actions.append(action)
-        self.sampled.append(det._obs is not None and det._obs_sampled)
-        self.points_off.append(len(flat))
-        self.count += 1
-        if self.count >= self.window:
-            return self.flush()
-        return None
-
-    def flush(self):
-        """Run Algorithm 1 over the buffered window, in event order.
-
-        Returns every race found in the window (or ``None``), already
-        reported through the detector's normal channels (``races`` list,
-        ``on_race`` callback, obs attribution) in exact trace order.
-        """
-        count = self.count
-        if not count:
-            return None
-        det = self.det
-        stats = det.stats
-        obs = det._obs
-        obs_interval = det._obs_interval
-        adaptive = det._adaptive
-        report = det._report
-        tags = self.tags
-        tids = self.tids
-        clocks = self.clocks
-        states = self.states
-        actions = self.actions
-        sampled_flags = self.sampled
-        flat = self.points_flat
-        offsets = self.points_off
-        tagged = self.tagged_races
-        epoch = _PointEpoch
-        intern_candidates = _intern_candidates
-        flushed: List[Any] = []
-        total_checks = 0
-        promotions = 0
-        for i in range(count):
-            state = states[i]
-            action = actions[i]
-            clock = clocks[i]
-            tid = tids[i]
-            lo = offsets[i]
-            hi = offsets[i + 1]
-            point_clock = state.point_clock
-            candidate_map = state.candidates
-            sampled = sampled_flags[i]
-            if obs is not None:
-                # _report consults the live sampling flag for race
-                # attribution; replay the one captured at enqueue time.
-                det._obs_sampled = sampled
-            if sampled:
-                start = perf_counter_ns()
-                checks_before = total_checks
-
-            # Phase 1.
-            found = None
-            for pi in range(lo, hi):
-                pt = flat[pi]
-                cands = candidate_map.get(pt)
-                if cands is None:
-                    cands = intern_candidates(state, pt)
-                total_checks += len(cands)
-                for candidate in cands:
-                    prior_clock = point_clock.get(candidate)
-                    if prior_clock is None:
-                        continue  # candidate not active
-                    if type(prior_clock) is epoch:
-                        if prior_clock.stamp <= clock[prior_clock.tid]:
-                            continue
-                        prior = prior_clock.clock
-                    elif prior_clock.leq(clock):
-                        continue
-                    else:
-                        prior = prior_clock
-                    if found is None:
-                        found = []
-                    report(state, pt, candidate, prior, action, tid, clock,
-                           found)
-
-            if sampled:
-                delta = (total_checks - checks_before) * obs_interval
-                table = det._obs_checks_by_object
-                table[action.obj] = table.get(action.obj, 0) + delta
-                for pi in range(lo, hi):
-                    det._attribute_checks(state, flat[pi], action.method)
-                methods = state.point_method
-            else:
-                methods = None
-
-            # Phase 2.
-            active = state.active
-            for pi in range(lo, hi):
-                pt = flat[pi]
-                if methods is not None:
-                    methods[pt] = action.method
-                prior_clock = point_clock.get(pt)
-                if prior_clock is None:
-                    if adaptive:
-                        point_clock[pt] = epoch(tid, clock[tid], clock)
-                    else:
-                        point_clock[pt] = clock
-                    active[pt] = None
-                elif type(prior_clock) is epoch:
-                    if (prior_clock.tid == tid
-                            or prior_clock.stamp <= clock[prior_clock.tid]):
-                        point_clock[pt] = epoch(tid, clock[tid], clock)
-                    else:
-                        promotions += 1
-                        point_clock[pt] = prior_clock.clock.join(clock)
-                elif adaptive and prior_clock.leq(clock):
-                    point_clock[pt] = epoch(tid, clock[tid], clock)
-                else:
-                    point_clock[pt] = prior_clock.join(clock)
-            if sampled:
-                det._obs_check_timer.record(perf_counter_ns() - start,
-                                            obs_interval)
-            if found is not None:
-                if tagged is not None:
-                    tag = tags[i]
-                    tagged.extend((tag, seq, race)
-                                  for seq, race in enumerate(found))
-                flushed.extend(found)
-
-        stats.conflict_checks += total_checks
-        stats.epoch_promotions += promotions
-        self.count = 0
-        tags.clear()
-        tids.clear()
-        clocks.clear()
-        states.clear()
-        actions.clear()
-        sampled_flags.clear()
-        flat.clear()
-        del offsets[1:]
-        return flushed or None

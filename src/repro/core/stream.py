@@ -91,7 +91,6 @@ class StreamAnalyzer:
         compact_clocks: bool = False,
         obs=None,
         compiled: bool = True,
-        batch_window: int = 0,
         on_window: Optional[Callable[["StreamAnalyzer"], None]] = None,
         predict_window: int = 0,
     ):
@@ -101,7 +100,7 @@ class StreamAnalyzer:
             root=root, strategy=strategy, on_race=on_race,
             keep_reports=keep_reports, prune_interval=prune_interval,
             adaptive=adaptive, obs=obs, compiled=compiled,
-            batch_window=batch_window, predict_window=predict_window)
+            predict_window=predict_window)
         self._predict = bool(predict_window)
         self._window = window
         self._compact_clocks = compact_clocks
@@ -160,11 +159,10 @@ class StreamAnalyzer:
         return self.finish()
 
     def maintain(self) -> None:
-        """One maintenance cycle: flush, retire, compact, deflate, sample."""
+        """One maintenance cycle: retire, compact, deflate, predict, sample."""
         self._since_maintenance = 0
         self.windows_completed += 1
         detector = self._detector
-        detector.flush_batch()
         self.threads_retired += len(
             detector.happens_before.retire_joined_threads())
         if self._compact_clocks:

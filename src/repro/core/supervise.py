@@ -277,9 +277,9 @@ class ShardSupervisor:
                    round_runner: Callable) -> List[Any]:
         """Supervise an externally provided round executor.
 
-        The shared-memory / thread / subinterpreter backends bring their
-        own transport but want this class's retry, backoff, fault
-        accounting and inline-fallback semantics.  ``round_runner`` is
+        The shared-memory and thread backends bring their own transport
+        but want this class's retry, backoff, fault accounting and
+        inline-fallback semantics.  ``round_runner`` is
         called as ``round_runner(payloads, jobs, results)`` with ``jobs``
         a list of ``(index, attempt)`` pairs; it must fill ``results``
         for the jobs it completed and return a list of

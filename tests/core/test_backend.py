@@ -5,7 +5,7 @@ usable backend, and whenever the selection differs from the request the
 :class:`~repro.core.backend.BackendChoice` carries a human-readable
 reason (the CLI prints it; operators grep for it).  The probes are
 monkeypatched here so the whole table is testable on any host,
-including hosts where shared memory or subinterpreters genuinely work.
+including hosts where shared memory genuinely works.
 """
 
 import pytest
@@ -17,20 +17,16 @@ from repro.core.backend import BackendChoice, resolve_backend
 @pytest.fixture
 def probes(monkeypatch):
     """Control every runtime probe; returns a dict to flip per-test."""
-    state = {"shm": True, "free_threaded": False,
-             "subinterp": (True, "")}
+    state = {"shm": True, "free_threaded": False}
     monkeypatch.setattr(backend, "shm_available", lambda: state["shm"])
     monkeypatch.setattr(backend, "free_threaded",
                         lambda: state["free_threaded"])
-    monkeypatch.setattr(backend, "subinterpreters_available",
-                        lambda: state["subinterp"])
     return state
 
 
 class TestResolutionTable:
     def test_pickle_and_thread_always_honored(self, probes):
         probes["shm"] = False
-        probes["subinterp"] = (False, "gone")
         for name in ("pickle", "thread"):
             choice = resolve_backend(name)
             assert choice == BackendChoice(name, name)
@@ -45,17 +41,6 @@ class TestResolutionTable:
         assert (choice.selected, choice.requested) == ("pickle", "shm")
         assert "unavailable" in choice.reason
         assert choice.reason in choice.describe()
-
-    def test_subinterp_chain(self, probes):
-        assert resolve_backend("subinterp").selected == "subinterp"
-        probes["subinterp"] = (False, "probe failed: boom")
-        choice = resolve_backend("subinterp")
-        assert choice.selected == "shm"
-        assert "boom" in choice.reason
-        probes["shm"] = False
-        choice = resolve_backend("subinterp")
-        assert choice.selected == "pickle"
-        assert "boom" in choice.reason and "unavailable" in choice.reason
 
     def test_auto_prefers_free_threading_then_shm_then_pickle(self, probes):
         probes["free_threaded"] = True
@@ -95,7 +80,6 @@ class TestProbes:
     def test_reset_hook_forgets_cached_probes(self):
         backend._reset_probe_cache()
         assert backend._SHM_PROBE is None
-        assert backend._SUBINTERP_PROBE is None
         backend.shm_available()
         assert backend._SHM_PROBE is not None
         backend._reset_probe_cache()

@@ -17,7 +17,7 @@ worst case):
   promotion-count mismatch.
 * **Persistence** — epoch state survives pickling mid-run (the sharded
   pipeline's transport) and a checkpoint/resume cycle reproduces the
-  uninterrupted run exactly with epochs and batching on.
+  uninterrupted run exactly with epochs on.
 """
 
 import pickle
@@ -61,7 +61,7 @@ class TestVerdictPreservation:
         plain.run(trace)
         analyzer = register_bindings(
             StreamAnalyzer(root=0, adaptive=True, window=3,
-                           prune_interval=2, batch_window=2), bindings)
+                           prune_interval=2), bindings)
         analyzer.run(trace)
         assert snapshots(analyzer.races) == snapshots(plain.races)
 
@@ -188,22 +188,19 @@ class TestPersistence:
     @given(seeds)
     @settings(max_examples=25, deadline=None)
     def test_epoch_state_pickles_mid_run(self, seed):
-        """A mid-run detector (epochs, inflated points, pending batch)
-        pickles, and the copy finishes the trace identically."""
+        """A mid-run detector (epochs, inflated points) pickles, and the
+        copy finishes the trace identically."""
         trace, bindings = adversarial_case(seed)
         events = list(trace)
         cut = len(events) // 2
         original = register_bindings(
-            CommutativityRaceDetector(root=0, adaptive=True,
-                                      batch_window=3), bindings)
+            CommutativityRaceDetector(root=0, adaptive=True), bindings)
         for event in events[:cut]:
             original.process(event)
         clone = pickle.loads(pickle.dumps(original))
         for event in events[cut:]:
             original.process(event)
             clone.process(event)
-        original.flush_batch()
-        clone.flush_batch()
         assert snapshots(clone.races) == snapshots(original.races)
         assert clone.stats == original.stats
 
@@ -227,13 +224,13 @@ class TestPersistence:
     def _resume_case(self, trace, bindings, path):
         interval = max(1, len(trace) // 3)
         full = register_bindings(
-            ShardedDetector(root=0, workers=1, adaptive=True, batch_window=4,
+            ShardedDetector(root=0, workers=1, adaptive=True,
                             checkpoint=CheckpointConfig(path,
                                                         interval=interval)),
             bindings)
         full.run(trace)
         resumed = register_bindings(
-            ShardedDetector(root=0, workers=1, adaptive=True, batch_window=4,
+            ShardedDetector(root=0, workers=1, adaptive=True,
                             resume_from=path), bindings)
         resumed.run(trace)
         assert not resumed.faults

@@ -22,22 +22,18 @@ Comparison granularity differs deliberately:
   order as representation dispatch, so compiled-vs-uncompiled is the
   *strictest* comparison — reports equal in content **and order**, stats
   equal counter for counter.
-* columnar batch checking replays the same loop window-at-a-time, and
-  every window size must be invisible: reports and stats identical to
-  per-event processing for any ``batch_window``.
 
 The full-matrix test closes the loop: every configuration on the
-compiled × adaptive × batch-window × (sequential|sharded) axes — 24
-configurations — must report **byte-identically** to the one reference
-everything is defined against, the sequential uncompiled plain detector.
+compiled × adaptive × (sequential|sharded) axes — 8 configurations —
+must report **byte-identically** to the one reference everything is
+defined against, the sequential uncompiled plain detector.
 """
 
 import os
 
 import pytest
 
-from repro.core.backend import (free_threaded, shm_available,
-                                subinterpreters_available)
+from repro.core.backend import free_threaded, shm_available
 from repro.core.detector import CommutativityRaceDetector, Strategy
 from repro.core.parallel import ShardedDetector
 
@@ -141,27 +137,18 @@ class TestCompiledEquivalence:
 @pytest.mark.parametrize("factory", [CommutativityRaceDetector,
                                      ShardedDetector],
                          ids=["sequential", "sharded"])
-class TestBatchEquivalence:
-    def test_batched_vs_per_event_identical(self, factory):
-        """Any window size is invisible: same reports in order, same stats."""
+class TestPruneEquivalence:
+    def test_pruning_byte_identical_to_reference(self, factory):
+        # Reclaimed points can never race again, so pruning every few
+        # actions must leave the reports exactly as the reference has them.
         for trace, bindings in corpus():
-            per_event = run_detector(trace, bindings, factory)
-            for window in (1, 3, 64):
-                batched = run_detector(trace, bindings, factory,
-                                       batch_window=window)
-                assert batched.races == per_event.races
-                assert batched.stats == per_event.stats
-
-    def test_batching_composes_with_pruning(self, factory):
-        # Prune entry points drain the buffer first, so the prune cadence
-        # (and its counters) must be unchanged by batching.
-        for trace, bindings in corpus():
-            per_event = run_detector(trace, bindings, factory,
-                                     prune_interval=3)
-            batched = run_detector(trace, bindings, factory,
-                                   prune_interval=3, batch_window=7)
-            assert batched.races == per_event.races
-            assert batched.stats == per_event.stats
+            reference = run_detector(trace, bindings,
+                                     CommutativityRaceDetector,
+                                     compiled=False, adaptive=False)
+            pruned = run_detector(trace, bindings, factory,
+                                  prune_interval=3)
+            assert ([race_snapshot(r) for r in pruned.races]
+                    == [race_snapshot(r) for r in reference.races])
 
 
 PREDICT_SEEDS = list(CORPUS_SEEDS)[:12]
@@ -212,17 +199,17 @@ class TestPredictiveEquivalence:
                                      CommutativityRaceDetector,
                                      predict_window=32)
             det = run_detector(trace, bindings, factory, predict_window=32,
-                               adaptive=False, batch_window=7)
+                               adaptive=False)
             assert ([(p.pair, race_snapshot(p.race)) for p in det.predicted]
                     == [(p.pair, race_snapshot(p.race))
                         for p in reference.predicted]), seed
 
 
 class TestFullMatrix:
-    def test_all_twenty_four_configurations_byte_identical(self):
-        """compiled × adaptive × batch-window × (sequential|sharded).
+    def test_all_eight_configurations_byte_identical(self):
+        """compiled × adaptive × (sequential|sharded).
 
-        Every one of the 24 configurations must report byte-identically
+        Every one of the 8 configurations must report byte-identically
         (clocks included, order included) to the reference everything is
         specified against: the sequential uncompiled plain detector.
         """
@@ -234,16 +221,13 @@ class TestFullMatrix:
             for factory in (CommutativityRaceDetector, ShardedDetector):
                 for compiled in (False, True):
                     for adaptive in (False, True):
-                        for batch_window in (0, 1, 7):
-                            det = run_detector(trace, bindings, factory,
-                                               compiled=compiled,
-                                               adaptive=adaptive,
-                                               batch_window=batch_window)
-                            got = [race_snapshot(r) for r in det.races]
-                            assert got == want, (
-                                f"{factory.__name__} compiled={compiled} "
-                                f"adaptive={adaptive} "
-                                f"batch_window={batch_window}")
+                        det = run_detector(trace, bindings, factory,
+                                           compiled=compiled,
+                                           adaptive=adaptive)
+                        got = [race_snapshot(r) for r in det.races]
+                        assert got == want, (
+                            f"{factory.__name__} compiled={compiled} "
+                            f"adaptive={adaptive}")
 
     def test_scan_matrix_agrees_on_verdicts(self):
         """The SCAN strategy reorders reports, so its matrix leg is
@@ -324,29 +308,7 @@ class TestBackendEquivalence:
                                      compiled=False, adaptive=False)
             det = run_detector(trace, bindings, ShardedDetector,
                                workers=2, backend=backend, adaptive=True,
-                               prune_interval=7, batch_window=16)
+                               prune_interval=7)
             assert ([race_snapshot(r) for r in det.races]
                     == [race_snapshot(r) for r in reference.races]), seed
 
-
-class TestSubinterpreterAxis:
-    """Optional axis: per-shard subinterpreters where the runtime has a
-    usable implementation; skips (never fails) everywhere else."""
-
-    pytestmark = pytest.mark.skipif(
-        not subinterpreters_available()[0],
-        reason=f"subinterpreters unusable "
-               f"({subinterpreters_available()[1] or 'no module'})")
-
-    def test_byte_identical_to_sequential_reference(self):
-        for seed in (3, 17, 41, 77):
-            program = random_multi_object_program(seed, max_ops=60)
-            trace, bindings = build_multi_object_trace(program)
-            reference = run_detector(trace, bindings,
-                                     CommutativityRaceDetector,
-                                     compiled=False, adaptive=False)
-            det = run_detector(trace, bindings, ShardedDetector,
-                               workers=2, backend="subinterp")
-            assert det.backend.selected == "subinterp", det.backend
-            assert ([race_snapshot(r) for r in det.races]
-                    == [race_snapshot(r) for r in reference.races]), seed

@@ -155,34 +155,19 @@ def test_plain_clock_axis_matches_snapshot(name, compiled):
         == expected["races"]
 
 
-# -- epoch + batch axes (PR 7): same frozen snapshots, never regenerated -----
+# -- epoch axes (PR 7): same frozen snapshots, never regenerated -----------
 #
 # Clock-carrying epochs report the exact accumulated clock, so adaptive
 # mode is pinned byte-identically (the PR 5 verdict-key fallback above
-# became the plain-clock opt-out test).  Batching replays the same loop
-# window-at-a-time and must be invisible at every window size.
-
-@pytest.mark.parametrize("adaptive", [False, True], ids=["plain", "epochs"])
-@pytest.mark.parametrize("batch_window", [1, 3, 64])
-@pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_batch_axis_matches_snapshot(name, batch_window, adaptive):
-    trace, expected = load_case(name)
-    registry = bundled_objects()
-    detector = CommutativityRaceDetector(root=trace.root, adaptive=adaptive,
-                                         batch_window=batch_window)
-    for obj, kind in expected["bindings"].items():
-        detector.register_object(obj, registry[kind].representation())
-    detector.run(trace)
-    assert [race_snapshot(race) for race in detector.races] \
-        == expected["races"]
-
+# became the plain-clock opt-out test).  The sequential epoch path is the
+# default, pinned by the first test above; these pin it through the
+# sharded pipeline and the streaming analyzer.
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_sharded_epoch_batch_axis_matches_snapshot(name):
     trace, expected = load_case(name)
     registry = bundled_objects()
-    detector = ShardedDetector(root=trace.root, workers=2, adaptive=True,
-                               batch_window=4)
+    detector = ShardedDetector(root=trace.root, workers=2, adaptive=True)
     for obj, kind in expected["bindings"].items():
         detector.register_object(obj, registry[kind].representation())
     detector.run(trace)
@@ -192,13 +177,13 @@ def test_sharded_epoch_batch_axis_matches_snapshot(name):
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_streaming_epoch_batch_axis_matches_snapshot(name):
-    # The full PR 7 stack — epochs, batching, pruning, deflation windows —
-    # against the frozen corpus, byte for byte.
+    # The full PR 7 stack — epochs, pruning, deflation windows — against
+    # the frozen corpus, byte for byte.
     from repro.core.stream import StreamAnalyzer
     trace, expected = load_case(name)
     registry = bundled_objects()
     analyzer = StreamAnalyzer(root=trace.root, adaptive=True, window=3,
-                              prune_interval=2, batch_window=2)
+                              prune_interval=2)
     for obj, kind in expected["bindings"].items():
         analyzer.register_object(obj, registry[kind].representation())
     analyzer.run(trace)

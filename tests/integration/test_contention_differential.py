@@ -8,12 +8,12 @@ pruning all do real work).  This sweep runs that corpus through every
 PR 7 execution mode and demands byte-identical reports against the
 plain full-vector-clock batch detector:
 
-* the streaming analyzer with epochs, batching, pruning and windowed
-  maintenance all on at once;
-* the sharded two-phase pipeline with epochs and batching on, under
-  real worker processes;
-* the sequential detector with epochs + batching, as the control that
-  isolates the sharding axis.
+* the streaming analyzer with epochs, pruning and windowed maintenance
+  all on at once;
+* the sharded two-phase pipeline with epochs on, under real worker
+  processes;
+* the sequential detector with epochs, as the control that isolates the
+  sharding axis.
 
 Counter caveat: the stream/sharded paths may legitimately differ from
 the sequential run in *epoch counters* (a deflation can be followed by a
@@ -49,13 +49,13 @@ def snapshots(detector_or_analyzer):
 
 class TestContentionCorpus:
     def test_streaming_epochs_byte_identical_across_120_seeds(self):
-        """Epochs + batching + pruning + deflation change nothing."""
+        """Epochs + pruning + deflation change nothing."""
         nonempty = promotions = 0
         for seed, (trace, bindings) in corpus():
             plain = plain_run(trace, bindings)
             streamed = register_bindings(
                 StreamAnalyzer(root=trace.root, adaptive=True, window=5,
-                               prune_interval=3, batch_window=4), bindings)
+                               prune_interval=3), bindings)
             streamed.run(trace)
             assert snapshots(streamed) == snapshots(plain), f"seed {seed}"
             nonempty += bool(plain.races)
@@ -66,13 +66,13 @@ class TestContentionCorpus:
         assert promotions >= 100
 
     def test_sharded_epochs_byte_identical_across_120_seeds(self):
-        """The two-phase pipeline with epochs + batching, worker
-        processes on, against the sequential plain detector."""
+        """The two-phase pipeline with epochs, worker processes on,
+        against the sequential plain detector."""
         for seed, (trace, bindings) in corpus():
             plain = plain_run(trace, bindings)
             sharded = register_bindings(
-                ShardedDetector(root=trace.root, workers=2, adaptive=True,
-                                batch_window=4), bindings)
+                ShardedDetector(root=trace.root, workers=2, adaptive=True),
+                bindings)
             sharded.run(trace)
             assert snapshots(sharded) == snapshots(plain), f"seed {seed}"
             assert sharded.stats.races == plain.stats.races, f"seed {seed}"
@@ -84,8 +84,8 @@ class TestContentionCorpus:
         for seed, (trace, bindings) in corpus():
             plain = plain_run(trace, bindings)
             adaptive = register_bindings(
-                CommutativityRaceDetector(root=trace.root, adaptive=True,
-                                          batch_window=4), bindings)
+                CommutativityRaceDetector(root=trace.root, adaptive=True),
+                bindings)
             adaptive.run(trace)
             assert snapshots(adaptive) == snapshots(plain), f"seed {seed}"
             assert adaptive.stats.races == plain.stats.races

@@ -73,7 +73,7 @@ class TestShmDifferential:
             trace, bindings = build_multi_object_trace(program)
             want = reference_snapshots(trace, bindings)
             det = run_shm(trace, bindings, mp_context, adaptive=True,
-                          prune_interval=7, batch_window=16)
+                          prune_interval=7)
             assert [race_snapshot(r) for r in det.races] == want, seed
 
     def test_tiny_rings_block_but_never_corrupt(self, mp_context):

@@ -161,40 +161,19 @@ class TestBackendFlag:
                   "--workers", "2", "--backend", "laser"])
 
 
-class TestAdaptiveFlag:
-    def test_adaptive_reports_the_same_races(self, racy_trace_file, capsys):
-        plain = main([racy_trace_file, "--object", "o=dictionary",
-                      "--no-epochs"])
-        plain_out = capsys.readouterr().out
-        adaptive = main([racy_trace_file, "--object", "o=dictionary",
-                         "--adaptive"])
-        adaptive_out = capsys.readouterr().out
-        assert adaptive == plain == 1
-        # Clock-carrying epochs report the exact accumulated clock, so
-        # adaptive output is byte-identical to the plain detector's.
-        assert adaptive_out == plain_out
-
-    def test_adaptive_composes_with_workers(self, racy_trace_file, capsys):
-        code = main([racy_trace_file, "--object", "o=dictionary",
-                     "--adaptive", "--workers", "2"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "[2 workers]" in out
-
-    def test_adaptive_rejected_for_other_detectors(self, racy_trace_file):
-        with pytest.raises(SystemExit) as err:
-            main([racy_trace_file, "--detector", "fasttrack", "--adaptive"])
-        assert err.value.code == 2
-        with pytest.raises(SystemExit) as err:
-            main([racy_trace_file, "--object", "o=dictionary",
-                  "--detector", "direct", "--adaptive"])
-        assert err.value.code == 2
-
-    def test_adaptive_rejected_with_atomicity(self, racy_trace_file):
-        with pytest.raises(SystemExit) as err:
-            main([racy_trace_file, "--object", "o=dictionary",
-                  "--atomicity", "--adaptive"])
-        assert err.value.code == 2
+class TestRetiredFlags:
+    def test_retired_flags_are_argparse_usage_errors(self, racy_trace_file,
+                                                     capsys):
+        # Deleted options must fail in the parser, not be silently ignored.
+        for extra in (["--adaptive"],
+                      ["--batch-window", "2"],
+                      ["--workers", "2", "--backend", "subinterp"]):
+            with pytest.raises(SystemExit) as err:
+                main([racy_trace_file, "--object", "o=dictionary", *extra])
+            assert err.value.code == 2, extra
+            usage = capsys.readouterr().err
+            assert ("unrecognized arguments" in usage
+                    or "invalid choice" in usage), usage
 
 
 class TestEpochBatchFlags:
@@ -208,12 +187,6 @@ class TestEpochBatchFlags:
         assert plain == default == 1
         assert plain_out == default_out
 
-    def test_no_epochs_contradicts_adaptive(self, racy_trace_file):
-        with pytest.raises(SystemExit) as err:
-            main([racy_trace_file, "--object", "o=dictionary",
-                  "--no-epochs", "--adaptive"])
-        assert err.value.code == 2
-
     def test_no_epochs_rejected_outside_rd2(self, racy_trace_file):
         with pytest.raises(SystemExit) as err:
             main([racy_trace_file, "--detector", "fasttrack", "--no-epochs"])
@@ -221,47 +194,6 @@ class TestEpochBatchFlags:
         with pytest.raises(SystemExit) as err:
             main([racy_trace_file, "--object", "o=dictionary",
                   "--atomicity", "--no-epochs"])
-        assert err.value.code == 2
-
-    def test_batch_window_is_byte_identical_to_per_event(self,
-                                                         racy_trace_file,
-                                                         capsys):
-        per_event = main([racy_trace_file, "--object", "o=dictionary"])
-        per_event_out = capsys.readouterr().out
-        batched = main([racy_trace_file, "--object", "o=dictionary",
-                        "--batch-window", "3"])
-        batched_out = capsys.readouterr().out
-        assert batched == per_event == 1
-        assert batched_out == per_event_out
-
-    def test_batch_window_composes_with_workers(self, racy_trace_file,
-                                                capsys):
-        code = main([racy_trace_file, "--object", "o=dictionary",
-                     "--batch-window", "2", "--workers", "2"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "[2 workers]" in out
-
-    def test_batch_window_composes_with_follow(self, racy_trace_file,
-                                               capsys):
-        code = main([racy_trace_file, "--object", "o=dictionary",
-                     "--follow", "--batch-window", "2", "--window", "3",
-                     "--prune-interval", "2", "--follow-timeout", "5"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "race:" in out
-
-    def test_bad_batch_window_rejected(self, racy_trace_file):
-        for bad in ("0", "-2", "soon"):
-            with pytest.raises(SystemExit) as err:
-                main([racy_trace_file, "--object", "o=dictionary",
-                      "--batch-window", bad])
-            assert err.value.code == 2
-
-    def test_batch_window_rejected_outside_rd2(self, racy_trace_file):
-        with pytest.raises(SystemExit) as err:
-            main([racy_trace_file, "--object", "o=dictionary",
-                  "--detector", "direct", "--batch-window", "2"])
         assert err.value.code == 2
 
 
