@@ -21,8 +21,8 @@ dominates at realistic object counts).
 fails the run with exit 1 on a breach): two 5%-overhead-budget gates —
 the *observability overhead gate* (detector timed with metrics disabled
 vs. the sampled registry enabled) and the *supervisor overhead gate*
-(the sharded pool timed with shard supervision on vs. the bare
-``pool.map`` baseline, on the fault-free path) — plus the *hot-path
+(the shm fan-out timed with shard supervision on vs. one bare
+unsupervised shm round, on the fault-free path) — plus the *hot-path
 gate*: the compiled detector path (check plans + interned points + CoW
 stamping) must be >=1.3x the seed path end-to-end, and copy-on-write
 stamping >=1.5x the copying freeze on the Phase-A microbench.
@@ -34,11 +34,14 @@ epoch-adaptive leg) and writes the machine-readable results to
 ``--epoch-json``).  The epoch leg compares the compiled full-vector-clock
 detector against compiled epoch-adaptive clocks, both per event, on a
 wide-clock, mostly-thread-local workload and is gated at >=3.0x.
-It then runs the PR 9 *backend fan-out leg*: the shm execution backend
-vs. the pickle pool, end to end at 8 workers on a wide-clock butterfly
-workload, gated at >=2.0x and recorded in ``BENCH_PR9.json`` (see
-``--backend-json``).  ``--ipc`` prints the same workload's transport
-story — bytes on the wire and serialization seconds per backend.
+It then runs the PR 9 *backend fan-out leg*: the shm transport vs. a
+pickle baseline — a bench-local ``multiprocessing.Pool.map`` of the
+shard function over the same payloads — end to end at 8 workers on a
+wide-clock butterfly workload, gated at >=2.0x and recorded in
+``BENCH_PR9.json`` (see ``--backend-json``) next to the sequential
+detector's time on the same trace (reported, not gated).  ``--ipc``
+prints the same workload's transport story — bytes on the wire and
+serialization seconds for pickle and shm.
 
 Run:  PYTHONPATH=src python bench/parallel_scaling.py [--events N]
           [--objects K] [--threads T] [--workers 1,2,4]
@@ -51,13 +54,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import multiprocessing
 import pathlib
+import pickle
 import random
 import time
 
 from repro.core.detector import CommutativityRaceDetector
 from repro.core.hb import HappensBeforeTracker
-from repro.core.parallel import ShardedDetector
+from repro.core.parallel import ShardedDetector, _analyze_shard
 from repro.core.serialize import load_trace
 from repro.core.trace import TraceBuilder
 from repro.core.vector_clock import MutableVectorClock, VectorClock
@@ -164,11 +169,12 @@ def overhead_gate(trace, objects: int, repeats: int = 12,
 def supervisor_overhead_gate(trace, objects: int, workers: int = 2,
                              repeats: int = 5,
                              threshold: float = 0.05) -> bool:
-    """Time the sharded pool with supervision on vs. off; gate at 5%.
+    """Time the shm fan-out with supervision on vs. off; gate at 5%.
 
-    Supervision replaces one ``pool.map`` with per-job ``apply_async`` +
-    timed ``get``; on the fault-free path that must be noise, not a tax.
-    Pool startup dominates these runs (and is identical in both modes), so
+    ``supervise=False`` runs one bare shm round; supervision wraps the
+    same round in fault accounting, retry bookkeeping and the fallback
+    check, which on the fault-free path must be noise, not a tax.  Worker
+    startup dominates these runs (and is identical in both modes), so
     fewer repeats suffice than for the in-process observability gate; the
     same warmup / alternate / best-of-N / re-measure discipline applies.
     """
@@ -193,8 +199,9 @@ def supervisor_overhead_gate(trace, objects: int, workers: int = 2,
               f"{threshold:.0%} budget on the first attempt; re-measuring")
         overhead, best_bare, best_sup = measure(2 * repeats)
     verdict = "PASS" if overhead <= threshold else "FAIL"
-    print(f"\nsupervisor overhead gate ({workers} workers): bare pool.map "
-          f"{best_bare:.3f}s, supervised {best_sup:.3f}s -> {overhead:+.1%} "
+    print(f"\nsupervisor overhead gate ({workers} workers): unsupervised "
+          f"shm {best_bare:.3f}s, supervised {best_sup:.3f}s -> "
+          f"{overhead:+.1%} "
           f"(budget {threshold:.0%}) [{verdict}]")
     return overhead <= threshold
 
@@ -809,7 +816,7 @@ def predict_overhead_gate(repeats: int = 5, passes: int = 10,
     return ok
 
 
-# -- shared-memory backend fan-out leg (PR 9) --------------------------------
+# -- shared-memory transport fan-out leg (PR 9) ------------------------------
 
 
 def fanout_trace(events: int, objects: int = 8, threads: int = 768,
@@ -822,8 +829,8 @@ def fanout_trace(events: int, objects: int = 8, threads: int = 768,
     thread with a full-width vector clock.  The churn phase then runs
     sync-free put/get rounds on thread-private keys: each stamped action
     carries an O(threads) clock but opens no new synchronization window.
-    This is the shape that separates the execution backends — the pickle
-    backend re-serializes the wide clock mapping on every single action,
+    This is the shape that separates the transports — pickling
+    re-serializes the wide clock mapping on every single action,
     while the shm rings ship each clock base once per shard and stream
     8-byte stamps after that.
     """
@@ -862,34 +869,65 @@ def fanout_trace(events: int, objects: int = 8, threads: int = 768,
     return builder.build(stamp=False)
 
 
+class PoolMapBaseline(ShardedDetector):
+    """The pickle transport, unsupervised: phase B as one
+    ``multiprocessing.Pool.map`` of the shard function over the very
+    payloads the shm transport ships.
+
+    Every stamped action and its O(threads) clock is pickled across the
+    pipe.  An instrumented run also pickles each payload once up front to
+    report its wire size and serialization time; timed runs (obs off) pay
+    only the pool's own pickling.
+    """
+
+    def _fan_out(self, groups):
+        payloads = self._payloads(groups)
+        if self._obs is not None:
+            for payload in payloads:
+                start = time.perf_counter_ns()
+                blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+                self._obs.add("ipc_bytes_pickled", len(blob))
+                self._obs.timer("ipc_serialize").record(
+                    time.perf_counter_ns() - start)
+        with multiprocessing.get_context().Pool(len(payloads)) as pool:
+            return pool.map(_analyze_shard, payloads)
+
+
 def backend_fanout_bench(events: int = 60_000, objects: int = 8,
                          threads: int = 768, workers: int = 8,
                          repeats: int = 2, seed: int = 0) -> dict:
-    """End-to-end pickle vs. shm on the 8-worker fan-out workload.
+    """End-to-end pickle ``Pool.map`` vs. shm vs. sequential on the
+    8-worker fan-out workload.
 
-    Each backend's warmup run carries an exact-sampling obs registry, so
-    the IPC story (bytes on the wire, serialization seconds) comes out of
-    the same suite without ever instrumenting a timed run.  Verdicts are
-    asserted identical between the backends before any time is believed.
+    Each sharded mode's warmup run carries an exact-sampling obs
+    registry, so the IPC story (bytes on the wire, serialization seconds)
+    comes out of the same suite without ever instrumenting a timed run.
+    Verdicts are asserted identical across all three modes before any
+    time is believed.
     """
     trace = fanout_trace(events, objects=objects, threads=threads, seed=seed)
+    factories = {
+        "pickle": lambda obs: PoolMapBaseline(
+            root=0, workers=workers, keep_reports=False, obs=obs),
+        "shm": lambda obs: ShardedDetector(
+            root=0, workers=workers, keep_reports=False, obs=obs),
+        "sequential": lambda obs: CommutativityRaceDetector(
+            root=0, keep_reports=False, obs=obs),
+    }
 
-    def run_once(backend, obs=None):
-        detector = register_all(
-            ShardedDetector(root=0, workers=workers, backend=backend,
-                            keep_reports=False, obs=obs), objects)
+    def run_once(mode, obs=None):
+        detector = register_all(factories[mode](obs), objects)
         return timed_run(detector, trace), detector
 
     ipc: dict = {}
     verdicts = {}
-    selected = {}
 
-    def instrumented(backend):
+    def instrumented(mode):
         obs = Registry(sample_interval=1)
-        seconds, detector = run_once(backend, obs=obs)
+        seconds, detector = run_once(mode, obs=obs)
         snap = obs.snapshot()
         counters, timers = snap["counters"], snap["timers"]
-        ipc[backend] = {
+        ipc[mode] = {
             "ipc_bytes_pickled": counters.get("ipc_bytes_pickled", 0),
             "shm_bytes_written": counters.get("shm_bytes_written", 0),
             "serialize_seconds": round(
@@ -898,20 +936,24 @@ def backend_fanout_bench(events: int = 60_000, objects: int = 8,
                 timers.get("shm_encode", {}).get("total_ns", 0) / 1e9, 4),
             "shm_ring_hwm": snap["gauges"].get("shm_ring_hwm", 0),
         }
-        verdicts[backend] = (detector.stats.races,
-                             detector.stats.conflict_checks)
-        selected[backend] = detector.backend.selected
-        return seconds
+        verdicts[mode] = (detector.stats.races,
+                          detector.stats.conflict_checks)
+        return detector
 
     # Warmup (discarded, doubles as the IPC measurement), then alternate.
-    instrumented("pickle"), instrumented("shm")
-    assert verdicts["pickle"] == verdicts["shm"], (
-        f"verdict drift between backends: {verdicts}")
-    times: dict = {"pickle": [], "shm": []}
+    shm_detector = instrumented("shm")
+    instrumented("pickle")
+    sequential = register_all(factories["sequential"](None), objects)
+    sequential.run(trace)
+    verdicts["sequential"] = (sequential.stats.races,
+                              sequential.stats.conflict_checks)
+    assert verdicts["pickle"] == verdicts["shm"] == verdicts["sequential"], (
+        f"verdict drift between modes: {verdicts}")
+    times: dict = {mode: [] for mode in factories}
     for _ in range(repeats):
-        for backend in ("pickle", "shm"):
-            times[backend].append(run_once(backend)[0])
-    best = {backend: min(samples) for backend, samples in times.items()}
+        for mode in factories:
+            times[mode].append(run_once(mode)[0])
+    best = {mode: min(samples) for mode, samples in times.items()}
     return {
         "events": len(trace),
         "churn_events": events,
@@ -919,14 +961,17 @@ def backend_fanout_bench(events: int = 60_000, objects: int = 8,
         "threads": threads,
         "workers": workers,
         "repeats": repeats,
-        "selected": selected,
-        "races": verdicts["pickle"][0],
+        "selected": {"pickle": "pool-map",
+                     "shm": shm_detector.backend.selected},
+        "races": verdicts["shm"][0],
         "pickle_seconds": best["pickle"],
         "shm_seconds": best["shm"],
+        "sequential_seconds": best["sequential"],
         "pickle_events_per_s": len(trace) / best["pickle"],
         "shm_events_per_s": len(trace) / best["shm"],
         "ipc": ipc,
         "speedup": best["pickle"] / best["shm"],
+        "shm_vs_sequential": best["sequential"] / best["shm"],
     }
 
 
@@ -934,12 +979,14 @@ def backend_gate(events: int = 60_000, objects: int = 8, threads: int = 768,
                  workers: int = 8, repeats: int = 2, seed: int = 0,
                  fanout_min: float = 2.0,
                  json_path: str | None = "BENCH_PR9.json") -> bool:
-    """The PR 9 acceptance gate: shm >=2x pickle, end to end, 8 workers.
+    """The PR 9 acceptance gate: shm >=2x a pickle ``Pool.map``, end to
+    end, 8 workers.
 
-    Skips (passing, recorded as skipped) when the host cannot select the
-    shm backend at all — the fallback chain would silently time pickle
-    against itself.  A first-attempt breach triggers one longer
-    re-measurement before the verdict sticks, mirroring the other gates.
+    Skips (passing, recorded as skipped) when the host cannot create
+    shared memory at all — the shm side would silently replay in-process.
+    A first-attempt breach triggers one longer re-measurement before the
+    verdict sticks, mirroring the other gates.  ``shm_vs_sequential`` is
+    reported next to it, not gated.
     """
     from repro.core.backend import shm_available
     if not shm_available():
@@ -968,14 +1015,17 @@ def backend_gate(events: int = 60_000, objects: int = 8, threads: int = 768,
     print(f"\nbackend fan-out ({results['threads']} threads, "
           f"{results['workers']} workers, {results['events']} events, "
           f"best of {results['repeats']})")
-    print(f"  pickle: {results['pickle_seconds']:>7.3f}s "
+    print(f"  pickle Pool.map: {results['pickle_seconds']:>7.3f}s "
           f"{results['pickle_events_per_s']:>9.0f} ev/s  "
           f"({ipc['pickle']['ipc_bytes_pickled']:>11,} B pickled, "
           f"{ipc['pickle']['serialize_seconds']:.3f}s serialize)")
-    print(f"  shm:    {results['shm_seconds']:>7.3f}s "
+    print(f"  shm:             {results['shm_seconds']:>7.3f}s "
           f"{results['shm_events_per_s']:>9.0f} ev/s  "
           f"({ipc['shm']['shm_bytes_written']:>11,} B rings, "
           f"{ipc['shm']['ipc_bytes_pickled']:,} B init pickles)")
+    print(f"  sequential:      {results['sequential_seconds']:>7.3f}s "
+          f"(shm vs sequential {results['shm_vs_sequential']:.2f}x, "
+          f"reported only)")
     print(f"  speedup: {results['speedup']:.2f}x (floor {fanout_min:.1f}x)")
     print(f"backend fan-out gate: [{'PASS' if ok else 'FAIL'}]")
 
@@ -991,23 +1041,24 @@ def ipc_report(events: int = 60_000, objects: int = 8, threads: int = 768,
                workers: int = 8, seed: int = 0) -> None:
     """The ``--ipc`` leg: bytes on the wire and serialization seconds.
 
-    One instrumented run per backend over the fan-out workload, printed
-    as a per-backend transport table — the IPC contract (init pickles
-    stay constant, ring bytes carry the stream) stated in numbers.
+    One instrumented run per transport over the fan-out workload — the
+    shm rings and the pickle ``Pool.map`` baseline — printed as a
+    transport table: the IPC contract (init pickles stay constant, ring
+    bytes carry the stream) stated in numbers.
     """
     results = backend_fanout_bench(events, objects, threads, workers,
                                    repeats=1, seed=seed)
     ipc = results["ipc"]
-    header = (f"{'backend':>8} {'wall s':>8} {'pickled B':>12} "
+    header = (f"{'transport':>9} {'wall s':>8} {'pickled B':>12} "
               f"{'ring B':>12} {'serialize s':>12} {'encode s':>9}")
     print(f"\nIPC transport report ({results['events']} events, "
           f"{threads} threads, {workers} workers)")
     print(header)
     print("-" * len(header))
-    for backend in ("pickle", "shm"):
-        stats = ipc[backend]
-        wall = results[f"{backend}_seconds"]
-        print(f"{backend:>8} {wall:>8.3f} "
+    for transport in ("pickle", "shm"):
+        stats = ipc[transport]
+        wall = results[f"{transport}_seconds"]
+        print(f"{transport:>9} {wall:>8.3f} "
               f"{stats['ipc_bytes_pickled']:>12,} "
               f"{stats['shm_bytes_written']:>12,} "
               f"{stats['serialize_seconds']:>12.3f} "
@@ -1053,8 +1104,9 @@ def main(argv=None) -> int:
                              "record (default: %(default)s)")
     parser.add_argument("--ipc", action="store_true",
                         help="run only the IPC transport report: one "
-                             "instrumented fan-out run per execution "
-                             "backend, printing bytes on the wire and "
+                             "instrumented fan-out run each for the shm "
+                             "transport and a pickle Pool.map baseline, "
+                             "printing bytes on the wire and "
                              "serialization seconds for each")
     parser.add_argument("--hotpath-json", metavar="PATH",
                         default="BENCH_PR4.json",

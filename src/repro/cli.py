@@ -185,9 +185,8 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
                            workers: int = 1, obs=NULL_REGISTRY,
                            supervisor=None, checkpoint=None,
                            resume_from: Optional[str] = None,
-                           adaptive: bool = True,
                            prune_interval: int = 0,
-                           backend: str = "pickle",
+                           backend: str = "auto",
                            predict_window: int = 0,
                            ) -> Tuple[int, Optional[Dict[str, Any]],
                                       Optional[List[Any]]]:
@@ -200,20 +199,18 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
     if detector_kind == "rd2" and sharded:
         from .core.parallel import ShardedDetector
         detector = ShardedDetector(root=trace.root, workers=workers,
-                                   adaptive=adaptive,
                                    prune_interval=prune_interval,
                                    obs=obs, supervisor=supervisor,
                                    checkpoint=checkpoint,
                                    resume_from=resume_from,
                                    backend=backend,
                                    predict_window=predict_window)
-        if detector.backend.reason is not None:
+        if workers > 1 and detector.backend.reason is not None:
             print(f"backend: {detector.backend.requested} -> "
                   f"{detector.backend.describe()}", file=sys.stderr)
     elif detector_kind == "rd2":
         from .core.detector import CommutativityRaceDetector
         detector = CommutativityRaceDetector(root=trace.root,
-                                             adaptive=adaptive,
                                              prune_interval=prune_interval,
                                              obs=obs,
                                              predict_window=predict_window)
@@ -256,7 +253,7 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
 
 
 def _analyze_follow(path: str, bindings, obs=NULL_REGISTRY,
-                    adaptive: bool = True, prune_interval: int = 0,
+                    prune_interval: int = 0,
                     window: int = 1024, idle_timeout: float = 10.0,
                     stats_json: Optional[str] = None,
                     meta_base: Optional[Dict[str, Any]] = None,
@@ -305,7 +302,7 @@ def _analyze_follow(path: str, bindings, obs=NULL_REGISTRY,
     def build(root) -> "StreamAnalyzer":
         analyzer = StreamAnalyzer(root=root, on_race=on_race,
                                   prune_interval=prune_interval,
-                                  window=window, adaptive=adaptive,
+                                  window=window,
                                   obs=obs, on_window=snapshot,
                                   predict_window=predict_window)
         for name, kind in bindings:
@@ -415,19 +412,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="fan the rd2 per-object race checks out to N "
                              "worker processes (two-phase sharded pipeline; "
                              "default 1 = sequential)")
-    parser.add_argument("--backend", default="pickle",
-                        choices=["auto", "pickle", "shm", "thread"],
+    parser.add_argument("--backend", default="auto",
+                        choices=["auto", "shm"],
                         help="shard fan-out transport for --workers > 1: "
-                             "pickle pool (default), shared-memory record "
-                             "rings (shm), in-process threads, or auto; a "
-                             "request the runtime cannot honor falls back "
-                             "with a reason logged to stderr")
+                             "shared-memory record rings, one worker "
+                             "process per shard (default auto; shm asks "
+                             "for the same transport); a host without "
+                             "shared memory replays the shards in-process "
+                             "instead, with the reason logged to stderr")
     parser.add_argument("--shard-timeout", default=None, metavar="SECONDS",
                         help="per-shard supervision timeout for --workers "
                              "runs (default 120)")
     parser.add_argument("--shard-retries", default=None, metavar="N",
-                        help="pool retries per failed shard before falling "
-                             "back to in-process replay (default 2)")
+                        help="worker retries per failed shard before "
+                             "falling back to in-process replay (default 2)")
     parser.add_argument("--checkpoint", metavar="PATH",
                         help="periodically checkpoint phase-A stamping "
                              "state to PATH (rd2 only)")
@@ -438,10 +436,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "written by a previous run on the same trace "
                              "(a rejected checkpoint degrades to a full "
                              "restamp)")
-    parser.add_argument("--no-epochs", action="store_true", dest="no_epochs",
-                        help="rd2 debug switch: disable epoch-adaptive "
-                             "point clocks and store a full vector clock "
-                             "per access point from the first touch")
     parser.add_argument("--prune-interval", default=None, metavar="N",
                         dest="prune_interval",
                         help="rd2: every N actions, reclaim active points "
@@ -525,15 +519,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if rd2_only and (args.detector != "rd2" or args.atomicity):
         _fail("--workers, --shard-*, --checkpoint and --resume-from apply "
               "only to the rd2 detector", EXIT_USAGE)
-    if args.no_epochs and (args.detector != "rd2" or args.atomicity):
-        _fail("--no-epochs applies only to the rd2 detector", EXIT_USAGE)
-    # Epoch adaptivity is report-preserving and the default; --no-epochs
-    # is the debug out.
-    adaptive = not args.no_epochs
     prune_interval = _parse_prune_interval(args)
     if prune_interval and (args.detector != "rd2" or args.atomicity):
         _fail("--prune-interval applies only to the rd2 detector", EXIT_USAGE)
-    if args.backend != "pickle":
+    if args.backend != "auto":
         if args.detector != "rd2" or args.atomicity:
             _fail("--backend applies only to the rd2 detector", EXIT_USAGE)
         if workers <= 1:
@@ -585,7 +574,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         bindings = _parse_bindings(args.objects)
         if args.follow:
             code, events_total, predicted = _analyze_follow(
-                args.trace, bindings, obs=obs, adaptive=adaptive,
+                args.trace, bindings, obs=obs,
                 prune_interval=prune_interval,
                 window=window if window is not None else 1024,
                 idle_timeout=(follow_timeout if follow_timeout is not None
@@ -606,14 +595,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 code, faults, predicted = _analyze_commutativity(
                     trace, bindings, args.detector, workers=workers, obs=obs,
                     supervisor=supervisor, checkpoint=checkpoint,
-                    resume_from=args.resume_from, adaptive=adaptive,
+                    resume_from=args.resume_from,
                     prune_interval=prune_interval, backend=args.backend,
                     predict_window=predict_window)
             else:
                 code, faults = _analyze_memory(trace, args.detector, obs=obs)
     except KeyboardInterrupt:
-        # The supervisor already tore its pool down on the way out (no
-        # orphan workers); the span stream is closed by the finally, so
+        # The shm round already tore its workers and rings down on the way
+        # out (no orphans); the span stream is closed by the finally, so
         # partial --spans output stays valid JSONL.
         print("repro-analyze: interrupted", file=sys.stderr)
         return EXIT_INTERRUPT

@@ -1,40 +1,28 @@
-"""Runtime selection of the shard fan-out execution backend.
+"""Runtime selection of the shard fan-out transport.
 
-The sharded pipeline can push stamped actions to workers three ways:
+The sharded pipeline has one cross-process transport, ``shm``: stamped
+actions are encoded into per-shard ``multiprocessing.shared_memory``
+record rings (:mod:`repro.core.shmem`) and replayed by one worker
+process per shard; only the per-worker init payload (registrations,
+plans, knobs) is pickled, once.  A host that cannot create a
+shared-memory segment gets ``inline`` instead: the shards replay
+in-process through the same shard function, with no worker processes.
 
-``pickle``
-    The original path: full payload pickled per shard into a
-    ``multiprocessing.Pool``.  Always available; the fallback of last
-    resort.
-``shm``
-    Zero-pickle: stamped actions encoded into per-shard
-    ``multiprocessing.shared_memory`` record rings
-    (:mod:`repro.core.shmem`); only the per-worker init payload
-    (registrations, plans, knobs) is pickled, once.
-``thread``
-    A thread pool running the shard worker in-process.  Only a true
-    parallelism win on free-threaded (PEP 703, 3.13t) interpreters;
-    on a GIL build it is selected only when explicitly requested
-    (useful for debugging — zero IPC of any kind).
-
-``resolve_backend`` turns a user request (including ``auto``) into a
-:class:`BackendChoice` with the selected mode and a human-readable
-reason whenever the selection differs from the request — the CLI prints
-it, tests assert on it, and nothing ever fails hard just because an
-optional runtime feature is missing.
+``resolve_backend`` turns a request (``auto`` or ``shm``) into a
+:class:`BackendChoice` with the selected transport and a human-readable
+reason whenever the selection is not simply what was asked for — the CLI
+prints it, tests assert on it, and nothing ever fails hard just because
+``/dev/shm`` is missing.
 """
 
 from __future__ import annotations
 
-import sys
-import sysconfig
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["BACKENDS", "BackendChoice", "resolve_backend", "shm_available",
-           "free_threaded"]
+__all__ = ["BACKENDS", "BackendChoice", "resolve_backend", "shm_available"]
 
-BACKENDS = ("auto", "pickle", "shm", "thread")
+BACKENDS = ("auto", "shm")
 
 
 @dataclass(frozen=True)
@@ -73,44 +61,23 @@ def shm_available() -> bool:
     return _SHM_PROBE
 
 
-def free_threaded() -> bool:
-    """True only on a free-threaded build *with the GIL actually off*."""
-    gil_check = getattr(sys, "_is_gil_enabled", None)
-    if gil_check is not None:
-        try:
-            return not gil_check()
-        except Exception:
-            return False
-    return bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
-
-
 def resolve_backend(requested: str) -> BackendChoice:
-    """Map a requested backend to a usable one, never failing hard.
+    """Map a requested backend to ``shm`` or ``inline``, never failing hard.
 
-    Fallback chains: ``shm → pickle`` and ``auto → thread``
-    (free-threaded only) ``→ shm → pickle``.
-    ``thread`` and ``pickle`` are always honored as requested.
+    Both requests select ``shm`` when the host can create shared memory
+    (``auto`` says so in its reason) and fall back to in-process replay
+    otherwise.
     """
     if requested not in BACKENDS:
         raise ValueError(
             f"unknown backend {requested!r}; expected one of "
             f"{', '.join(BACKENDS)}")
-    if requested == "pickle" or requested == "thread":
-        return BackendChoice(requested, requested)
-    if requested == "shm":
-        if shm_available():
-            return BackendChoice(requested, "shm")
-        return BackendChoice(requested, "pickle",
+    if not shm_available():
+        return BackendChoice(requested, "inline",
                              "shared memory unavailable on this host")
-    # auto
-    if free_threaded():
-        return BackendChoice(requested, "thread",
-                             "free-threaded interpreter detected")
-    if shm_available():
-        return BackendChoice(requested, "shm",
-                             "GIL enabled; shared-memory rings selected")
-    return BackendChoice(requested, "pickle",
-                         "GIL enabled and shared memory unavailable")
+    if requested == "shm":
+        return BackendChoice(requested, "shm")
+    return BackendChoice(requested, "shm", "shared-memory rings selected")
 
 
 def _reset_probe_cache() -> None:

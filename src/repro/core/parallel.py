@@ -23,7 +23,8 @@ Phase B (parallel)
     shard replays its objects' stamped actions through an ordinary
     :class:`~repro.core.detector.CommutativityRaceDetector` via
     :meth:`~repro.core.detector.CommutativityRaceDetector.process_stamped`
-    in a ``multiprocessing`` pool.  Race reports come back tagged with
+    in one worker process per shard, fed through a shared-memory record
+    ring (:mod:`repro.core.shmem`).  Race reports come back tagged with
     their trace index and are merged in stable event-index order; shard
     stats merge via :meth:`~repro.core.detector.DetectorStats.absorb`.
 
@@ -69,7 +70,7 @@ from .shmem import (DEFAULT_RING_SLOTS, DEFAULT_SIDE_BYTES, RecordRing,
 from .supervise import ShardSupervisor, SupervisorConfig
 from .vector_clock import Tid
 
-__all__ = ["ShardedDetector", "partition_by_load"]
+__all__ = ["ShardedDetector", "ShmRounds", "partition_by_load"]
 
 
 def partition_by_load(loads: Sequence[Tuple[ObjectId, int]],
@@ -113,10 +114,12 @@ _ShardPayload = Tuple[bool, Strategy, bool, Optional[int], bool,
 
 
 def _analyze_shard(payload: _ShardPayload):
-    """Worker: replay each object's stamped actions through Algorithm 1.
+    """The shard function: replay each object's stamped actions.
 
-    Module-level so it is importable under any multiprocessing start
-    method.  Returns ``(triples, stats, obs)`` where each triple is
+    Every path runs this one function — the inline path, the supervisor's
+    in-process fallback and the shm worker process; only the carrier of
+    the stamped actions differs (lists in-process, ring sections in a
+    worker).  Returns ``(triples, stats, obs)`` where each triple is
     ``(event_index, seq_within_event, race)`` — actions touch exactly one
     object, so per-object replay preserves the sequential within-event
     report order, and sorting the merged triples by ``(index, seq)``
@@ -128,29 +131,11 @@ def _analyze_shard(payload: _ShardPayload):
     When the facade neither keeps reports nor has an ``on_race`` callback
     (``need_reports`` false), races are only counted: shipping tens of
     thousands of report objects back over the pipe would dominate the
-    pool's cost for report-dense traces, mirroring why the sequential
+    fan-out's cost for report-dense traces, mirroring why the sequential
     detector grew ``keep_reports=False`` for long benchmark runs.
     """
     (adaptive, strategy, need_reports, obs_interval, compiled,
      prune_snaps, objects) = payload
-    detector, obs = _build_shard_detector(
-        adaptive, strategy, obs_interval, compiled,
-        [entry[:4] for entry in objects])
-    triples = _replay_stamped(detector, obs, need_reports, prune_snaps,
-                              ((obj, packed_actions)
-                               for obj, _, _, _, packed_actions in objects))
-    return triples, detector.stats, obs
-
-
-def _build_shard_detector(adaptive, strategy, obs_interval, compiled,
-                          registrations):
-    """Construct one shard worker's detector from its registrations.
-
-    ``registrations`` is ``(obj, representation, strategy, plan)`` tuples —
-    the shard payload minus the stamped actions, which arrive either
-    inside the payload (pickle backend) or through a shared-memory ring
-    (shm backend).  Returns ``(detector, obs)``.
-    """
     obs = None
     if obs_interval is not None:
         from ..obs.registry import Registry
@@ -158,9 +143,12 @@ def _build_shard_detector(adaptive, strategy, obs_interval, compiled,
     detector = CommutativityRaceDetector(strategy=strategy, adaptive=adaptive,
                                          keep_reports=False, obs=obs,
                                          compiled=compiled)
-    for obj, representation, obj_strategy, plan in registrations:
+    for obj, representation, obj_strategy, plan, _ in objects:
         detector.register_object(obj, representation, obj_strategy, plan=plan)
-    return detector, obs
+    triples = _replay_stamped(detector, obs, need_reports, prune_snaps,
+                              ((obj, packed_actions)
+                               for obj, _, _, _, packed_actions in objects))
+    return triples, detector.stats, obs
 
 
 def _replay_stamped(detector, obs, need_reports, prune_snaps,
@@ -168,11 +156,10 @@ def _replay_stamped(detector, obs, need_reports, prune_snaps,
     """Replay per-object stamped-action streams through Algorithm 1.
 
     ``streams`` yields ``(obj, iterable_of_packed_actions)`` — a list per
-    object for the pickle backend, a live ring-decoder iterator for the
-    shm backend; the replay is oblivious to which, so both backends run
-    the *identical* code path and stay byte-identical by construction.
-    Returns the races as ``(trace index, seq, race)`` triples, the merge
-    format (empty unless ``need_reports``).
+    object in-process, a live ring section in a shm worker; the replay is
+    oblivious to which, so every path runs the *identical* code and stays
+    byte-identical by construction.  Returns the races as ``(trace index,
+    seq, race)`` triples, the merge format (empty unless ``need_reports``).
     """
     triples: List[Tuple[int, int, CommutativityRace]] = []
     # One reusable Event shell per shard: the detector reads (and the race
@@ -220,74 +207,48 @@ def _shard_job(index: int, payload: _ShardPayload, attempt: int):
     The supervisor's worker contract is ``worker(index, payload, attempt)``
     so retries are distinguishable (and so the fault harness can key on
     shard and attempt); the shard computation itself depends only on the
-    payload — every attempt, pool or inline, replays identically.
+    payload — every attempt, in a worker or inline, replays identically.
     """
     return _analyze_shard(payload)
 
 
-def _diagnose_unpicklable(payload: _ShardPayload,
-                          exc: Exception) -> Optional[MonitorError]:
-    """Explain a worker failure that is really a task-pickling failure.
+# -- the shm transport --------------------------------------------------------
 
-    A payload that cannot be pickled never reaches the worker — the pool
-    hands the serialization error back through the job's result, where it
-    is indistinguishable from an exception the worker raised.  Retrying a
-    deterministic serialization failure is useless, so the supervisor asks
-    us first: if the payload truly does not pickle, pinpoint the object
-    (and which of its parts) to blame and return a :class:`MonitorError`
-    for the caller; if it pickles fine, return None — the worker genuinely
-    raised ``exc`` and normal retry/fallback handling applies.
+def _ring_section(streams, position: int):
+    """One object's actions, read off the ring once first advanced.
+
+    Sections must be consumed in ring order, each to its end before the
+    next — exactly what :func:`_replay_stamped` does.
+    """
+    at, actions = next(streams)
+    if at != position:
+        raise ValueError(f"ring section {at} arrived where {position} "
+                         f"was expected")
+    yield from actions
+
+
+def _shm_child(worker, index: int, attempt: int, ring_name: str,
+               head_blob: bytes, conn) -> None:
+    """Process target of the shm transport: one supervised shard job.
+
+    Rebuilds the shard payload from the pickled head (knobs plus
+    registrations) and the ring (one section of stamped actions per
+    object), runs ``worker(index, payload, attempt)`` — the supervisor's
+    worker, fault wrapping included — then drains whatever the worker left unread up
+    to the ring's END record.  The result (or a classified failure) goes
+    back over ``conn`` as ``("ok", result)`` / ``("error", kind, detail)``.
     """
     try:
-        pickle.dumps(payload)
-    except Exception as probe:
-        objects = payload[-1]
-        for obj, representation, obj_strategy, plan, packed_actions in objects:
-            for part, value in (("representation", representation),
-                                ("strategy override", obj_strategy),
-                                ("check plan", plan),
-                                ("stamped actions", packed_actions)):
-                try:
-                    pickle.dumps(value)
-                except Exception:
-                    return MonitorError(
-                        f"object {obj!r}: its {part} cannot be pickled for "
-                        f"shipment to worker processes "
-                        f"({type(probe).__name__}: {probe}); use workers<=1 "
-                        f"(inline sharding) or the sequential "
-                        f"CommutativityRaceDetector")
-        return MonitorError(
-            f"shard payload cannot be pickled for worker processes "
-            f"({type(probe).__name__}: {probe})")
-    return None
-
-
-# -- shared-memory / thread backends -----------------------------------------
-
-def _shm_worker_main(ring_name: str, init_blob: bytes, conn) -> None:
-    """Process target for the shm backend: decode-from-ring and replay.
-
-    The init blob carries everything *except* the stamped actions — the
-    detector knobs, prune snapshots and per-object registrations, pickled
-    once per worker.  Actions stream in through the shard's record ring
-    and are replayed as they arrive (pipelined with phase-A encoding).
-    The result (or a classified failure) goes back over ``conn`` as
-    ``("ok", result)`` / ``("error", kind, detail)``.
-    """
-    try:
-        (adaptive, strategy, need_reports, obs_interval, compiled,
-         prune_snaps, registrations) = pickle.loads(init_blob)
         ring = RecordRing.attach(ring_name)
         try:
-            detector, obs = _build_shard_detector(
-                adaptive, strategy, obs_interval, compiled, registrations)
-            objs = [entry[0] for entry in registrations]
-            decoder = StampedDecoder(ring)
-            triples = _replay_stamped(
-                detector, obs, need_reports, prune_snaps,
-                ((objs[position], actions)
-                 for position, actions in decoder.streams()))
-            result = (triples, detector.stats, obs)
+            streams = StampedDecoder(ring).streams()
+            head = pickle.loads(head_blob)
+            payload = head[:6] + ([
+                registration + (_ring_section(streams, position),)
+                for position, registration in enumerate(head[6])],)
+            result = worker(index, payload, attempt)
+            for _ in streams:
+                pass
         finally:
             ring.close()
         try:
@@ -302,72 +263,188 @@ def _shm_worker_main(ring_name: str, init_blob: bytes, conn) -> None:
         except Exception:
             pass
     finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+        conn.close()
 
 
 class _ShmJob:
-    """Parent-side state for one in-flight shm shard."""
+    """Parent-side state for one in-flight shm job."""
 
     __slots__ = ("index", "attempt", "ring", "conn", "proc", "encoder",
-                 "feeder", "fed", "failure")
+                 "feeder", "failure")
 
-    def __init__(self, index, attempt, ring, conn, proc, encoder, feeder):
+    def __init__(self, index, attempt, ring):
         self.index = index
         self.attempt = attempt
         self.ring = ring
-        self.conn = conn
-        self.proc = proc
-        self.encoder = encoder
-        self.feeder = feeder
-        self.fed = False
+        self.conn = None
+        self.proc = None
+        self.encoder = None
+        self.feeder = None
         self.failure = None
 
     def fail(self, kind: str, detail: str, retryable: bool) -> None:
         self.failure = (self.index, self.attempt, kind, detail, retryable)
 
 
-def _futures_round(config: SupervisorConfig, task):
-    """Build the ``thread`` backend's supervisor round runner.
+class ShmRounds:
+    """The shm transport, as a :class:`~repro.core.supervise.ShardSupervisor`
+    round runner.
 
-    Shards run from threads of this process, so pool-generation
-    management reduces to a ``ThreadPoolExecutor`` with the supervisor's
-    per-round deadline.
+    Each job gets a private record ring and a worker process running
+    :func:`_shm_child`; the parent round-robins the sections' encoding
+    across all rings (a full ring yields the CPU to other jobs, then to
+    the consumer) and collects results over a pipe.  Payloads are shard
+    payloads: each object's stamped actions stream through the ring, and
+    only the *head* — the knobs plus the registrations — is pickled, once
+    per job index, and reused verbatim on retry.  Call as
+    ``runner(worker, payloads, jobs, results)``; returns the round's
+    failures.
     """
-    from concurrent.futures import ThreadPoolExecutor
-    from concurrent.futures import TimeoutError as FuturesTimeout
 
-    def runner(payloads, jobs, results):
+    def __init__(self, config: SupervisorConfig,
+                 mp_context: Optional[str] = None, obs=None,
+                 ring_slots: Optional[int] = None,
+                 ring_side_bytes: Optional[int] = None):
+        self._config = config
+        self._ctx = multiprocessing.get_context(mp_context)
+        self._obs = obs if (obs is not None and obs.enabled) else None
+        self._ring_slots = ring_slots or DEFAULT_RING_SLOTS
+        self._ring_side_bytes = ring_side_bytes or DEFAULT_SIDE_BYTES
+        self._heads: Dict[int, Tuple[bytes, List[Any]]] = {}
+        self._hwm = 0
+
+    def _head(self, index: int, payload) -> Tuple[bytes, List[Any]]:
+        cached = self._heads.get(index)
+        obs = self._obs
+        if cached is not None:
+            if obs is not None:
+                obs.add("shard_payload_reuse")
+            return cached
+        start = perf_counter_ns()
+        objects = payload[6]
+        blob = pickle.dumps(payload[:6] + ([entry[:4] for entry in objects],),
+                            protocol=pickle.HIGHEST_PROTOCOL)
+        sections = [entry[4] for entry in objects]
+        if obs is not None:
+            obs.add("ipc_bytes_pickled", len(blob))
+            obs.timer("ipc_serialize").record(perf_counter_ns() - start)
+        self._heads[index] = (blob, sections)
+        return blob, sections
+
+    def __call__(self, worker, payloads, jobs, results):
+        config = self._config
+        ctx = self._ctx
+        obs = self._obs
         failures = []
-        pool = ThreadPoolExecutor(max_workers=len(jobs))
+        states: List[_ShmJob] = []
+        encode_ns = 0
         try:
-            handles = [(index, attempt,
-                        pool.submit(task, index, payloads[index], attempt))
-                       for index, attempt in jobs]
+            for index, attempt in jobs:
+                try:
+                    blob, sections = self._head(index, payloads[index])
+                except Exception as exc:
+                    # Deterministic, so never retried: the in-process
+                    # fallback needs no pickling.
+                    failures.append((index, attempt, "task-unpicklable",
+                                     f"{type(exc).__name__}: {exc}", False))
+                    continue
+                job = _ShmJob(index, attempt,
+                              RecordRing.create(self._ring_slots,
+                                                self._ring_side_bytes))
+                # Tracked from the moment the segment exists, so the
+                # finally below unlinks it whatever fails next.
+                states.append(job)
+                job.conn, send_conn = ctx.Pipe(duplex=False)
+                try:
+                    proc = ctx.Process(
+                        target=_shm_child,
+                        args=(worker, index, attempt, job.ring.name, blob,
+                              send_conn),
+                        daemon=True)
+                    proc.start()
+                finally:
+                    send_conn.close()
+                job.proc = proc
+                job.encoder = StampedEncoder(job.ring)
+                job.feeder = feed_shard(job.encoder, sections)
             deadline = (time.monotonic() + config.shard_timeout
                         if config.shard_timeout is not None else None)
-            for index, attempt, handle in handles:
-                try:
-                    remaining = (None if deadline is None
-                                 else max(0.0, deadline - time.monotonic()))
-                    results[index] = handle.result(remaining)
-                except FuturesTimeout:
-                    failures.append((
-                        index, attempt, "timeout",
-                        f"no result within {config.shard_timeout:g}s",
-                        True))
-                except Exception as exc:
-                    failures.append((index, attempt, "worker-raised",
-                                     f"{type(exc).__name__}: {exc}", True))
+            # Feed phase: interleave all jobs' encodes; a blocked ring
+            # never busy-waits while another job could progress.
+            active = list(states)
+            while active:
+                if deadline is not None and time.monotonic() > deadline:
+                    for job in active:
+                        job.fail("timeout",
+                                 f"ring not drained within "
+                                 f"{config.shard_timeout:g}s "
+                                 f"(stalled worker)", True)
+                    break
+                progressed = False
+                for job in list(active):
+                    start = perf_counter_ns()
+                    try:
+                        step = next(job.feeder)
+                    except StopIteration:
+                        step = None
+                    encode_ns += perf_counter_ns() - start
+                    occupancy = job.ring.occupancy_bytes()
+                    if occupancy > self._hwm:
+                        self._hwm = occupancy
+                    if step is None:
+                        active.remove(job)
+                        progressed = True
+                    elif step:
+                        progressed = True
+                    elif not job.proc.is_alive():
+                        # Dead consumer: stop feeding; the collect phase
+                        # reads its (possibly classified) last words.
+                        active.remove(job)
+                if not progressed and active:
+                    time.sleep(0.0005)
+            # Collect phase.
+            for job in states:
+                if job.failure is None:
+                    remaining = (max(0.0, deadline - time.monotonic())
+                                 if deadline is not None else None)
+                    try:
+                        msg = (job.conn.recv() if job.conn.poll(remaining)
+                               else None)
+                    except (EOFError, OSError):
+                        # The pipe closed without a word: the worker died.
+                        job.proc.join(1.0)
+                        msg = ("error", "worker-raised",
+                               f"shard worker died "
+                               f"(exitcode {job.proc.exitcode})")
+                    if msg is None:
+                        job.fail("timeout",
+                                 f"no result within "
+                                 f"{config.shard_timeout:g}s "
+                                 f"(hung worker)", True)
+                    elif msg[0] == "ok":
+                        results[job.index] = msg[1]
+                    else:
+                        _, kind, detail = msg
+                        job.fail(kind, detail, kind != "result-unpicklable")
+                if job.failure is not None:
+                    failures.append(job.failure)
         finally:
-            # Abandon (don't join) anything still running: a hung shard
-            # thread must not hang the supervisor's round loop.
-            pool.shutdown(wait=False, cancel_futures=True)
+            for job in states:
+                if job.proc is not None:
+                    if job.proc.is_alive():
+                        job.proc.terminate()
+                    job.proc.join()
+                if job.conn is not None:
+                    job.conn.close()
+                job.ring.close()
+                job.ring.unlink()
+            if obs is not None:
+                obs.add("shm_bytes_written",
+                        sum(job.encoder.bytes_written for job in states
+                            if job.encoder is not None))
+                obs.timer("shm_encode").record(encode_ns)
+                obs.gauge("shm_ring_hwm", self._hwm)
         return failures
-
-    return runner
 
 
 class ShardedDetector:
@@ -387,10 +464,10 @@ class ShardedDetector:
         As for the sequential detector; ``on_race`` fires during the merge,
         in stable event-index order.
     workers:
-        Worker process count for phase B.  ``None`` uses the machine's CPU
-        count; ``0`` or ``1`` runs the shard work inline (no subprocesses,
-        but the same pack/replay/merge pipeline — handy for tests and for
-        unpicklable custom representations).
+        Shard count for phase B, one worker process each.  ``None`` uses
+        the machine's CPU count; ``0`` or ``1`` runs the shard work inline
+        (no subprocesses, but the same pack/replay/merge pipeline — handy
+        for tests and for unpicklable custom representations).
     mp_context:
         Optional ``multiprocessing`` start-method name (``"fork"``,
         ``"spawn"``...); default lets the platform choose.
@@ -407,8 +484,9 @@ class ShardedDetector:
         :class:`~repro.core.supervise.ShardSupervisor` — per-shard
         timeout, bounded retry, in-process fallback — configured by the
         optional ``supervisor`` :class:`SupervisorConfig`.
-        ``supervise=False`` restores the bare ``pool.map`` (the overhead
-        gate in ``bench/parallel_scaling.py`` compares the two).
+        ``supervise=False`` runs one bare shm round instead and raises
+        :class:`~repro.core.errors.MonitorError` on any shard failure (the
+        overhead gate in ``bench/parallel_scaling.py`` compares the two).
     checkpoint:
         Optional :class:`~repro.core.checkpoint.CheckpointConfig`; phase A
         then snapshots its state every ``interval`` events so a killed run
@@ -432,16 +510,14 @@ class ShardedDetector:
         Not combinable with ``checkpoint``/``resume_from`` (the boundary
         snapshots are not checkpointed).
     backend:
-        Phase-B transport: ``"pickle"`` (the default; payloads pickled
-        into a process pool), ``"shm"`` (stamped actions streamed through
-        per-shard ``multiprocessing.shared_memory`` record rings — only
-        the per-worker registrations/knobs are pickled, once),
-        ``"thread"`` (in-process thread pool; a parallelism win only on
-        free-threaded interpreters), or ``"auto"``.  Requests the runtime
-        cannot honor fall back (shm → pickle) — the outcome, with its
-        reason, is in
+        Phase-B transport request, ``"auto"`` (the default) or ``"shm"``:
+        stamped actions stream through per-shard
+        ``multiprocessing.shared_memory`` record rings to one worker
+        process per shard, and only the per-worker registrations/knobs
+        are pickled, once.  On a host without shared memory the shards
+        replay in-process instead — the outcome, with its reason, is in
         :attr:`backend`, a :class:`~repro.core.backend.BackendChoice`.
-        All backends produce byte-identical merged reports.
+        Both produce byte-identical merged reports.
     ring_slots / ring_side_bytes:
         shm backend ring geometry (records per ring / side-region bytes);
         defaults suit typical shards.  A full ring blocks the producer
@@ -474,7 +550,7 @@ class ShardedDetector:
         resume_from: Optional[str] = None,
         compiled: bool = True,
         prune_interval: int = 0,
-        backend: str = "pickle",
+        backend: str = "auto",
         ring_slots: Optional[int] = None,
         ring_side_bytes: Optional[int] = None,
         predict_window: int = 0,
@@ -538,11 +614,9 @@ class ShardedDetector:
         """Attach an access point representation to a shared object."""
         if obj in self._registrations:
             raise MonitorError(f"object {obj!r} registered twice")
-        # The thread backend never crosses a process boundary, so it is
-        # exempt from the picklability requirement; every other backend
-        # ships registrations to workers (shm ships them in the one-shot
-        # init blob, so the probe still guards it).
-        if self.workers > 1 and self.backend.selected != "thread":
+        # Worker processes receive registrations in their pickled init
+        # payload; in-process replay never pickles them.
+        if self.workers > 1 and self.backend.selected == "shm":
             try:
                 pickle.dumps(representation)
             except Exception as exc:
@@ -760,7 +834,8 @@ class ShardedDetector:
         return snapshot, hasher
 
     # Phase B: shard the objects and fan the per-object replay out.
-    def _fan_out(self, groups: Dict[ObjectId, List[Tuple[Any, ...]]]):
+    def _payloads(self, groups: Dict[ObjectId, List[Tuple[Any, ...]]]
+                  ) -> List[_ShardPayload]:
         loads = [(obj, len(bucket)) for obj, bucket in groups.items()]
         shard_count = max(1, min(self.workers, len(loads)))
         need_reports = self._keep_reports or self._on_race is not None
@@ -773,184 +848,32 @@ class ShardedDetector:
             payloads.append((self._adaptive, self._strategy, need_reports,
                              obs_interval, self._compiled,
                              self._prune_snaps, objects))
-        if not payloads:
-            return []
-        if self.workers <= 1 or len(payloads) == 1:
+        return payloads
+
+    def _fan_out(self, groups: Dict[ObjectId, List[Tuple[Any, ...]]]):
+        payloads = self._payloads(groups)
+        if (self.workers <= 1 or len(payloads) <= 1
+                or self.backend.selected != "shm"):
             return [_analyze_shard(payload) for payload in payloads]
-        selected = self.backend.selected
-        if selected == "pickle" and not self._supervise:
-            # Unsupervised baseline: the original bare pool.map.  Kept for
-            # the supervisor-overhead benchmark gate and as an escape
-            # hatch; any worker failure here takes the whole run down.
-            ctx = (multiprocessing.get_context(self._mp_context)
-                   if self._mp_context else multiprocessing.get_context())
-            with ctx.Pool(processes=len(payloads)) as pool:
-                return pool.map(_analyze_shard, payloads)
         config = self._supervisor_config or SupervisorConfig()
-        supervisor = ShardSupervisor(
-            _shard_job, processes=len(payloads), mp_context=self._mp_context,
-            config=config, obs=self._obs, faults=self.faults,
-            diagnose=lambda index, exc: _diagnose_unpicklable(
-                payloads[index], exc))
-        if selected == "pickle":
-            return supervisor.run(payloads)
-        # The alternative transports bring their own round executor but
-        # keep the supervisor's retry/backoff/fault-accounting loop and
-        # its inline fallback — degraded shards replay in-process with
-        # identical results under every backend.
-        if selected == "thread":
-            runner = _futures_round(config, supervisor.worker)
-        else:
-            runner = self._shm_round(config)
-        return supervisor.run_rounds(payloads, runner)
-
-    def _shm_round(self, config: SupervisorConfig):
-        """Build the shm backend's supervisor round runner.
-
-        Each job gets a private record ring and worker process; the
-        parent round-robins phase-A encoding across all rings (a full
-        ring yields the CPU to other shards, then to the consumer) and
-        collects results over a pipe.  Init payloads — registrations and
-        knobs, no actions — are pickled once per shard and reused
-        verbatim on retry, mirroring the pool backend's serialize-once
-        behavior.
-        """
-        ctx = (multiprocessing.get_context(self._mp_context)
-               if self._mp_context else multiprocessing.get_context())
-        obs = self._obs
-        init_blobs: Dict[int, bytes] = {}
-        hwm = 0
-
-        def init_blob(index: int, payload) -> bytes:
-            blob = init_blobs.get(index)
-            if blob is not None:
-                if obs is not None:
-                    obs.add("shard_payload_reuse")
-                return blob
-            start = perf_counter_ns()
-            blob = pickle.dumps(
-                payload[:6] + ([entry[:4] for entry in payload[6]],),
-                protocol=pickle.HIGHEST_PROTOCOL)
-            if obs is not None:
-                obs.add("ipc_bytes_pickled", len(blob))
-                obs.timer("ipc_serialize").record(perf_counter_ns() - start)
-            init_blobs[index] = blob
-            return blob
-
-        def runner(payloads, jobs, results):
-            nonlocal hwm
-            failures = []
-            states: List[_ShmJob] = []
-            encode_ns = 0
-            try:
-                for index, attempt in jobs:
-                    ring = RecordRing.create(self._ring_slots,
-                                             self._ring_side_bytes)
-                    recv_conn, send_conn = ctx.Pipe(duplex=False)
-                    proc = ctx.Process(
-                        target=_shm_worker_main,
-                        args=(ring.name, init_blob(index, payloads[index]),
-                              send_conn),
-                        daemon=True)
-                    proc.start()
-                    send_conn.close()
-                    encoder = StampedEncoder(ring)
-                    states.append(_ShmJob(
-                        index, attempt, ring, recv_conn, proc, encoder,
-                        feed_shard(encoder, payloads[index][6])))
-                deadline = (time.monotonic() + config.shard_timeout
-                            if config.shard_timeout is not None else None)
-                # Feed phase: interleave all shards' encodes; a blocked
-                # ring never busy-waits while another shard could progress.
-                active = [job for job in states]
-                while active:
-                    if deadline is not None and time.monotonic() > deadline:
-                        for job in active:
-                            job.fail("timeout",
-                                     f"ring not drained within "
-                                     f"{config.shard_timeout:g}s "
-                                     f"(stalled worker)", True)
-                        break
-                    progressed = False
-                    for job in list(active):
-                        start = perf_counter_ns()
-                        try:
-                            step = next(job.feeder)
-                        except StopIteration:
-                            encode_ns += perf_counter_ns() - start
-                            occupancy = job.ring.occupancy_bytes()
-                            if occupancy > hwm:
-                                hwm = occupancy
-                            job.fed = True
-                            active.remove(job)
-                            progressed = True
-                            continue
-                        encode_ns += perf_counter_ns() - start
-                        occupancy = job.ring.occupancy_bytes()
-                        if occupancy > hwm:
-                            hwm = occupancy
-                        if step:
-                            progressed = True
-                        elif not job.proc.is_alive():
-                            # Dead consumer: stop feeding; the collect
-                            # phase reads its (possibly classified) last
-                            # words off the pipe.
-                            active.remove(job)
-                    if not progressed and active:
-                        time.sleep(0.0005)
-                # Collect phase.
-                for job in states:
-                    if job.failure is not None:
-                        failures.append(job.failure)
-                        continue
-                    remaining = (max(0.0, deadline - time.monotonic())
-                                 if deadline is not None else None)
-                    msg = None
-                    try:
-                        if job.conn.poll(remaining):
-                            msg = job.conn.recv()
-                    except (EOFError, OSError):
-                        msg = None
-                    if msg is None:
-                        if job.proc.is_alive():
-                            job.fail("timeout",
-                                     f"no result within "
-                                     f"{config.shard_timeout:g}s "
-                                     f"(hung worker)", True)
-                        else:
-                            job.fail("worker-raised",
-                                     f"shard worker died "
-                                     f"(exitcode {job.proc.exitcode})", True)
-                    elif msg[0] == "ok" and job.fed:
-                        results[job.index] = msg[1]
-                    elif msg[0] == "ok":
-                        job.fail("worker-raised",
-                                 "worker returned before consuming its "
-                                 "stream", True)
-                    else:
-                        _, kind, detail = msg
-                        job.fail(kind, detail, kind != "result-unpicklable")
-                    if job.failure is not None:
-                        failures.append(job.failure)
-            finally:
-                for job in states:
-                    if job.proc.is_alive():
-                        job.proc.terminate()
-                    job.proc.join()
-                    try:
-                        job.conn.close()
-                    except Exception:
-                        pass
-                    job.ring.close()
-                    job.ring.unlink()
-                if obs is not None:
-                    obs.add("shm_bytes_written",
-                            sum(job.encoder.bytes_written for job in states))
-                    obs.timer("shm_encode").record(encode_ns)
-                    obs.gauge("shm_ring_hwm", hwm)
-            return failures
-
-        return runner
+        runner = ShmRounds(config, mp_context=self._mp_context, obs=self._obs,
+                           ring_slots=self._ring_slots,
+                           ring_side_bytes=self._ring_side_bytes)
+        if self._supervise:
+            supervisor = ShardSupervisor(_shard_job, config=config,
+                                         obs=self._obs, faults=self.faults)
+            return supervisor.run_rounds(payloads, runner)
+        # Unsupervised reference (the supervisor-overhead gate's baseline):
+        # one bare shm round, and any shard failure takes the run down.
+        results: Dict[int, Any] = {}
+        failures = runner(_shard_job, payloads,
+                          [(index, 0) for index in range(len(payloads))],
+                          results)
+        if failures:
+            index, _, kind, detail, _ = failures[0]
+            raise MonitorError(f"shard {index} failed without supervision "
+                               f"({kind}): {detail}")
+        return [results[index] for index in range(len(payloads))]
 
     # Merge: stable event-index order, summed counters.
     def _merge(self, results, total_events: int) -> None:

@@ -1,12 +1,13 @@
 """Shared-memory transports: stamped-action record rings and byte rings.
 
-The sharded pipeline's pickle backend serializes every stamped action —
-including its vector clock, an O(threads) mapping — across each process
-boundary.  This module is the zero-pickle alternative: phase A writes
-events into a ``multiprocessing.shared_memory`` ring buffer per shard in
-the fixed-width record format of :mod:`repro.core.events`, and shard
-workers decode straight out of the mapped pages with ``struct``/
-``memoryview`` — no object graph ever crosses a pipe.
+Pickling every stamped action — including its vector clock, an
+O(threads) mapping — across each process boundary costs more than the
+shard replay it feeds.  This module is the sharded pipeline's zero-pickle
+transport: phase A writes events into a ``multiprocessing.shared_memory``
+ring buffer per shard in the fixed-width record format of
+:mod:`repro.core.events`, and shard workers decode straight out of the
+mapped pages with ``struct``/``memoryview`` — no object graph ever
+crosses a pipe.
 
 Three layers live here:
 
@@ -41,7 +42,6 @@ data strictly behind the head it read.
 
 from __future__ import annotations
 
-import pickle
 import struct
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -720,15 +720,15 @@ class StampedDecoder:
             rec = self._boundary
 
 
-def feed_shard(encoder: StampedEncoder, objects, chunk: int = 128
+def feed_shard(encoder: StampedEncoder, sections, chunk: int = 128
                ) -> Iterator[bool]:
     """Generator driving one shard's encode: yields after every ``chunk``
     actions (True = progressed) or whenever the ring is full (False —
-    give the consumer, or another shard, the CPU).  ``objects`` is the
-    payload's object list; StopIteration means the END record (and a
-    final publish) went out.
+    give the consumer, or another shard, the CPU).  ``sections`` is one
+    list of packed stamped actions per object, in ring order;
+    StopIteration means the END record (and a final publish) went out.
     """
-    for position, entry in enumerate(objects):
+    for position, packed_actions in enumerate(sections):
         while True:
             try:
                 encoder.begin_object(position)
@@ -736,7 +736,6 @@ def feed_shard(encoder: StampedEncoder, objects, chunk: int = 128
             except RingFull:
                 encoder.publish()
                 yield False
-        packed_actions = entry[4]
         at = 0
         total = len(packed_actions)
         while at < total:
@@ -756,9 +755,3 @@ def feed_shard(encoder: StampedEncoder, objects, chunk: int = 128
             encoder.publish()
             yield False
     encoder.publish()
-
-
-def dumps_payload(payload: Any) -> bytes:
-    """The one pickle a shm worker still costs: its init payload (knobs,
-    registrations, plans, prune snapshots) — shipped once per worker."""
-    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)

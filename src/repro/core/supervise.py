@@ -11,21 +11,23 @@ with per-shard job tracking built around one invariant:
 
 That invariant is cheap to guarantee here because shard replay is *pure*:
 each attempt builds a fresh detector from the shard's payload, so attempts
-are idempotent and any successful attempt — in a pool worker or inline —
-produces exactly the same triples.  Supervision therefore only decides
-*where* a shard runs, never *what* it computes:
+are idempotent and any successful attempt — in a worker process or
+inline — produces exactly the same triples.  Supervision therefore only
+decides *where* a shard runs, never *what* it computes:
 
-1. Every shard is submitted as an individually tracked job
-   (``apply_async``) with a per-round timeout covering hung workers *and*
-   workers that died mid-task (a killed pool worker is replaced by
-   ``multiprocessing``, but its job's result never arrives).
-2. A failed shard is retried in a fresh pool, up to
+1. Every shard is an individually tracked job in a *round*.  The
+   transport brings the round runner (the shm transport,
+   :class:`~repro.core.parallel.ShmRounds`, starts one worker process per
+   job and streams its stamped actions through a shared-memory ring); the
+   runner reports each job's result or a classified failure — a timeout
+   covering hung *and* stalled workers, a worker that raised or died, a
+   result or payload that does not pickle.
+2. A failed shard is retried in the next round, up to
    :attr:`SupervisorConfig.max_retries` times, with exponential backoff
-   between rounds.  Any round that saw a failure tears its pool down with
-   ``terminate()`` so hung or zombie attempts cannot linger.
+   between rounds.
 3. A shard that exhausts its retries — or fails in a way retrying cannot
    fix, like a result that does not pickle — is replayed **in-process**,
-   where no pool, pipe or pickling is involved.  Graceful degradation:
+   where no process, ring or pickling is involved.  Graceful degradation:
    slower, never wrong.
 
 Failures are recorded in the run's :class:`~repro.core.faults.FaultLog`
@@ -34,24 +36,16 @@ and, when observability is on, as registry counters (``shard_timeouts``,
 ``shard_fallbacks``, plus the ``faults_by_kind`` breakdown), so a tolerated
 fault is always visible in ``--stats-json``.
 
-Task-side pickling failures (the *payload* cannot be shipped) are the one
-non-recoverable class: they are a caller input problem, so the supervisor
-asks its ``diagnose`` callback to turn them into a precise
-:class:`~repro.core.errors.MonitorError` naming the offending object
-instead of retrying a deterministic failure.
-
 For deterministic robustness testing, the worker can be wrapped with a
 fault-injection plan (:attr:`SupervisorConfig.wrap`, or the
 ``REPRO_FAULT_PLAN`` environment variable consumed by
-:mod:`repro.testing.faults`).
+:mod:`repro.testing.faults`).  The round runner ships the wrapped worker
+to its worker processes, so injected faults fire there.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.pool
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
@@ -60,18 +54,6 @@ from .faults import FaultLog
 
 __all__ = ["DEFAULT_SHARD_TIMEOUT", "ANALYZER_POLICIES", "QuarantinePolicy",
            "SupervisorConfig", "ShardSupervisor"]
-
-
-def _run_serialized(worker: Callable, index: int, blob: bytes,
-                    attempt: int):
-    """Pool trampoline: the payload crosses as pre-pickled bytes.
-
-    The parent serializes each payload exactly once (and reuses the same
-    bytes verbatim on every retry); this rehydrates it worker-side.  The
-    pool still pickles the ``bytes`` object itself, but that is a flat
-    memcpy-sized frame, not a re-walk of the payload's object graph.
-    """
-    return worker(index, pickle.loads(blob), attempt)
 
 #: Valid fault policies for components that isolate analyzer exceptions:
 #: ``"raise"`` propagates, ``"log"`` records and keeps going, ``"disable"``
@@ -174,9 +156,9 @@ class SupervisorConfig:
     """Supervision knobs (defaults suit offline analysis runs).
 
     ``shard_timeout`` is the per-round budget for a shard attempt;
-    ``None`` waits forever (then a killed worker's lost job would hang the
-    round, so only disable it for debugging).  ``max_retries`` bounds
-    *pool* attempts beyond the first; after ``1 + max_retries`` failed
+    ``None`` waits forever (then a hung worker would hang the round, so
+    only disable it for debugging).  ``max_retries`` bounds *worker*
+    attempts beyond the first; after ``1 + max_retries`` failed
     attempts the shard is replayed inline.  Backoff before retry round
     ``n`` is ``backoff_base * backoff_factor ** n`` seconds.
 
@@ -209,7 +191,7 @@ class SupervisorConfig:
 
 
 class ShardSupervisor:
-    """Run one job per payload through a worker pool, surviving failures.
+    """Run one job per payload through a round runner, surviving failures.
 
     Parameters
     ----------
@@ -218,33 +200,18 @@ class ShardSupervisor:
         (module-level so it is importable under any multiprocessing start
         method).  ``index`` and ``attempt`` are supervision bookkeeping a
         plain worker is free to ignore; the fault harness keys on them.
-    processes:
-        Pool size ceiling (each round's pool is sized to its pending jobs).
-    mp_context:
-        Optional start-method name (``"fork"``, ``"spawn"``...).
     config:
         :class:`SupervisorConfig`; defaults used when omitted.
     obs / faults:
         Optional metrics registry and fault log to record failures into
         (a fresh private :class:`FaultLog` is created when none is given).
-    diagnose:
-        Optional ``(index, exc) -> Optional[Exception]`` consulted on
-        worker-side exceptions; returning an exception aborts the run by
-        raising it (used to turn raw task pickling errors into a
-        :class:`~repro.core.errors.MonitorError` naming the object).
     """
 
-    def __init__(self, worker: Callable, processes: int,
-                 mp_context: Optional[str] = None,
+    def __init__(self, worker: Callable,
                  config: Optional[SupervisorConfig] = None,
-                 obs=None, faults: Optional[FaultLog] = None,
-                 diagnose: Optional[Callable[[int, Exception],
-                                             Optional[Exception]]] = None):
+                 obs=None, faults: Optional[FaultLog] = None):
         self._config = config or SupervisorConfig()
-        self._processes = max(1, processes)
-        self._mp_context = mp_context
         self._obs = obs if (obs is not None and obs.enabled) else None
-        self._diagnose = diagnose
         self.faults = faults if faults is not None else FaultLog()
         wrap = self._config.wrap
         if wrap is None and os.environ.get("REPRO_FAULT_PLAN"):
@@ -255,13 +222,12 @@ class ShardSupervisor:
             from ..testing.faults import FaultPlan
             wrap = FaultPlan.from_env().wrap
         self._worker = wrap(worker) if wrap is not None else worker
-        self._blobs: Dict[int, bytes] = {}
 
     # -- the supervision loop ----------------------------------------------
 
     #: Obs counter bumped per failure kind (fault records carry the precise
-    #: kind either way; unknown kinds from external round runners count as
-    #: worker errors).
+    #: kind either way; unknown kinds from a round runner count as worker
+    #: errors).
     _FAILURE_COUNTERS = {
         "timeout": "shard_timeouts",
         "result-unpicklable": "shard_result_errors",
@@ -269,33 +235,25 @@ class ShardSupervisor:
         "worker-raised": "shard_worker_errors",
     }
 
-    def run(self, payloads: Sequence[Any]) -> List[Any]:
-        """Compute one result per payload, in payload order."""
-        return self._supervise(payloads, self._pool_round)
-
     def run_rounds(self, payloads: Sequence[Any],
                    round_runner: Callable) -> List[Any]:
-        """Supervise an externally provided round executor.
+        """Compute one result per payload, in payload order.
 
-        The shared-memory and thread backends bring their own transport
-        but want this class's retry, backoff, fault accounting and
-        inline-fallback semantics.  ``round_runner`` is
-        called as ``round_runner(payloads, jobs, results)`` with ``jobs``
-        a list of ``(index, attempt)`` pairs; it must fill ``results``
-        for the jobs it completed and return a list of
-        ``(index, attempt, kind, detail, retryable)`` failures.  The
-        inline fallback still runs ``self._worker`` directly.
+        ``round_runner`` is the transport: it is called as
+        ``round_runner(worker, payloads, jobs, results)`` with ``worker``
+        this supervisor's (possibly fault-wrapped) worker and ``jobs`` a
+        list of ``(index, attempt)`` pairs; it must fill ``results`` for
+        the jobs it completed and return a list of
+        ``(index, attempt, kind, detail, retryable)`` failures.  Failed
+        jobs are retried in later rounds; the inline fallback calls the
+        worker in this process.
         """
-        return self._supervise(payloads, round_runner)
-
-    def _supervise(self, payloads: Sequence[Any],
-                   round_runner: Callable) -> List[Any]:
         results: Dict[int, Any] = {}
         pending: List[Tuple[int, int]] = [(i, 0) for i in range(len(payloads))]
         degraded: List[Tuple[int, int]] = []
         round_index = 0
         while pending:
-            failures = round_runner(payloads, pending, results)
+            failures = round_runner(self._worker, payloads, pending, results)
             pending = []
             for index, attempt, kind, detail, retryable in failures:
                 self._record(kind, shard=index, attempt=attempt, detail=detail)
@@ -312,121 +270,14 @@ class ShardSupervisor:
             round_index += 1
         for index, attempt in sorted(degraded):
             # In-process replay: same payload, same pure computation, no
-            # pool/pipe/pickle in the way — the merged report stays
+            # process/ring/pickle in the way — the merged report stays
             # byte-identical to the fault-free run's.
             self._record("fallback", shard=index, attempt=attempt,
                          detail="shard replayed in-process after "
-                                "supervision gave up on the pool")
+                                "supervision gave up on its workers")
             self._count("shard_fallbacks")
             results[index] = self._worker(index, payloads[index], attempt)
         return [results[index] for index in range(len(payloads))]
-
-    @property
-    def worker(self) -> Callable:
-        """The (possibly fault-wrapped) worker callable."""
-        return self._worker
-
-    def payload_blob(self, index: int, payload: Any) -> bytes:
-        """Serialize ``payload`` once; retries reuse the identical bytes."""
-        blob = self._blobs.get(index)
-        if blob is not None:
-            self._count("shard_payload_reuse")
-            return blob
-        start = time.perf_counter_ns()
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        if self._obs is not None:
-            self._obs.add("ipc_bytes_pickled", len(blob))
-            self._obs.timer("ipc_serialize").record(
-                time.perf_counter_ns() - start)
-        self._blobs[index] = blob
-        return blob
-
-    def _pool_round(self, payloads: Sequence[Any],
-                    jobs: List[Tuple[int, int]],
-                    results: Dict[int, Any]
-                    ) -> List[Tuple[int, int, str, str, bool]]:
-        """One pool generation; returns the round's failures.
-
-        Any failure dirties the round and the whole pool is ``terminate``d
-        (a timed-out job may be a hung worker still squatting on a CPU);
-        a clean round closes and joins normally.  ``KeyboardInterrupt`` —
-        or any other escaping exception — also terminates the pool before
-        propagating, so an interrupted analysis leaves no orphan workers.
-        """
-        config = self._config
-        ctx = (multiprocessing.get_context(self._mp_context)
-               if self._mp_context else multiprocessing.get_context())
-        failures: List[Tuple[int, int, str, str, bool]] = []
-        handles: List[Tuple[int, int, Any]] = []
-        submittable: List[Tuple[int, int, bytes]] = []
-        for index, attempt in jobs:
-            try:
-                blob = self.payload_blob(index, payloads[index])
-            except Exception as exc:
-                # The payload itself will not pickle — deterministic, so
-                # never retried: diagnose (usually a precise MonitorError
-                # naming the object) or degrade straight to inline.
-                diagnosed = (self._diagnose(index, exc)
-                             if self._diagnose is not None else None)
-                if diagnosed is not None:
-                    raise diagnosed from exc
-                failures.append((index, attempt, "task-unpicklable",
-                                 f"{type(exc).__name__}: {exc}", False))
-                continue
-            submittable.append((index, attempt, blob))
-        if not submittable:
-            return failures
-        pool = ctx.Pool(processes=min(self._processes, len(submittable)))
-        dirty = False
-        try:
-            handles = [
-                (index, attempt,
-                 pool.apply_async(_run_serialized,
-                                  (self._worker, index, blob, attempt)))
-                for index, attempt, blob in submittable]
-            deadline = (time.monotonic() + config.shard_timeout
-                        if config.shard_timeout is not None else None)
-            for index, attempt, handle in handles:
-                try:
-                    results[index] = self._await(handle, deadline)
-                except multiprocessing.TimeoutError:
-                    dirty = True
-                    failures.append((
-                        index, attempt, "timeout",
-                        f"no result within {config.shard_timeout:g}s "
-                        f"(hung or killed worker)", True))
-                except multiprocessing.pool.MaybeEncodingError as exc:
-                    # The worker finished but its *result* would not pickle.
-                    # Retrying in a pool reproduces the failure; the inline
-                    # fallback needs no pickling, so degrade immediately.
-                    dirty = True
-                    failures.append((index, attempt, "result-unpicklable",
-                                     str(exc), False))
-                except Exception as exc:
-                    dirty = True
-                    diagnosed = (self._diagnose(index, exc)
-                                 if self._diagnose is not None else None)
-                    if diagnosed is not None:
-                        raise diagnosed from exc
-                    failures.append((index, attempt, "worker-raised",
-                                     f"{type(exc).__name__}: {exc}", True))
-        except BaseException:
-            pool.terminate()
-            pool.join()
-            raise
-        if dirty:
-            pool.terminate()
-        else:
-            pool.close()
-        pool.join()
-        return failures
-
-    @staticmethod
-    def _await(handle, deadline: Optional[float]):
-        """Wait for one job (separated out so tests can interpose)."""
-        if deadline is None:
-            return handle.get()
-        return handle.get(max(0.0, deadline - time.monotonic()))
 
     # -- accounting --------------------------------------------------------
 

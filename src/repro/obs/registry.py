@@ -8,7 +8,7 @@ properties the pipeline depends on:
   from worker processes can be folded together in any order and yield the
   same totals — the property suite in ``tests/obs`` checks exactly that.
   Registries are picklable (they hold only dicts of numbers), which is how
-  the sharded analyzer ships them back over the pool pipe next to each
+  the sharded analyzer ships them back over the result pipe next to each
   shard's :class:`~repro.core.detector.DetectorStats`.
 * **Cheap when enabled.**  Hot call sites grab the raw breakdown dicts
   once (:meth:`breakdown`) and increment them directly; timers are fed by

@@ -20,7 +20,7 @@ module provides those failure points:
 
 Determinism rules: a fault fires based only on ``(shard index, attempt
 number)``, both supplied by the supervisor, so a plan replays identically
-across runs and start methods.  Faults fire **only inside pool worker
+across runs and start methods.  Faults fire **only inside shard worker
 processes** (``multiprocessing.parent_process() is not None``): the
 supervisor's in-process fallback and the inline sharding path stay clean,
 which is precisely the recovery behavior under test — and it keeps an
@@ -55,10 +55,10 @@ KILL_ENV = "REPRO_CHECKPOINT_KILL_AFTER"
 class Unpicklable:
     """An object that refuses to cross a process boundary.
 
-    Returned by a ``bad-result`` fault: the pool worker computes it fine,
-    the result pipe cannot encode it, and the parent sees
-    ``MaybeEncodingError`` — the exact failure shape of a detector whose
-    race reports captured something unpicklable.
+    Returned by a ``bad-result`` fault: the shard worker computes it fine,
+    the result pipe cannot encode it, and the parent sees a
+    ``result-unpicklable`` failure — the exact failure shape of a detector
+    whose race reports captured something unpicklable.
     """
 
     def __reduce__(self):
@@ -71,7 +71,7 @@ class FaultSpec:
 
     The fault fires on attempts ``0 .. times-1`` and the shard behaves
     normally from attempt ``times`` on, so ``times`` directly selects the
-    recovery path: ``times <= max_retries`` recovers via pool retry,
+    recovery path: ``times <= max_retries`` recovers via worker retry,
     anything larger pushes the shard to the in-process fallback.
     ``seconds`` is the ``hang`` sleep; ``exit_code`` the ``exit`` status.
     """
@@ -184,7 +184,7 @@ class FaultyWorker:
     """A supervised worker wrapped with a :class:`FaultPlan`.
 
     Picklable whenever the wrapped worker is (the shard worker is a
-    module-level function), so it ships to pool children under ``fork``
+    module-level function), so it ships to shard workers under ``fork``
     and ``spawn`` alike.  The attempt number comes from the supervisor, so
     "fail twice then succeed" needs no cross-process shared state.
     """

@@ -33,7 +33,7 @@ import os
 
 import pytest
 
-from repro.core.backend import free_threaded, shm_available
+from repro.core.backend import shm_available
 from repro.core.detector import CommutativityRaceDetector, Strategy
 from repro.core.parallel import ShardedDetector
 
@@ -246,18 +246,15 @@ class TestFullMatrix:
             assert len(verdicts) == 1
 
 
-# Shard-transport axes.  ``shm`` is expected everywhere CI runs; the
-# ``thread`` axis only means true parallelism on a free-threaded (PEP
-# 703) build and *skips* elsewhere rather than testing a degenerate
-# configuration.  The CI matrix reruns this file under both fork and
-# spawn (``REPRO_TEST_START_METHOD``), so each axis is proven under both
-# start methods.
+# Shard-transport axis.  ``shm`` is the one cross-process transport and
+# is expected everywhere CI runs (a host without shared memory replays
+# shards in-process, the inline path the sharded axes above already
+# cover).  The CI matrix reruns this file under both fork and spawn
+# (``REPRO_TEST_START_METHOD``), so the axis is proven under both start
+# methods.
 BACKEND_AXES = [
     pytest.param("shm", marks=pytest.mark.skipif(
         not shm_available(), reason="no shared memory on this host")),
-    pytest.param("thread", marks=pytest.mark.skipif(
-        not free_threaded(),
-        reason="requires a free-threaded (PEP 703) interpreter")),
 ]
 
 BACKEND_SEEDS = list(CORPUS_SEEDS)[:16]
@@ -267,9 +264,9 @@ BACKEND_SEEDS = list(CORPUS_SEEDS)[:16]
 class TestBackendEquivalence:
     """The execution backend must be invisible, byte for byte.
 
-    Every transport — pickled pool, shared-memory rings, free-threaded
-    thread pool — replays the same stamped actions through the same
-    detector, so reports must match the sequential uncompiled plain
+    Worker processes fed through shared-memory rings replay the same
+    stamped actions through the same shard function as in-process
+    replay, so reports must match the sequential uncompiled plain
     reference exactly: same races, same clocks, same order.
     """
 
@@ -286,18 +283,19 @@ class TestBackendEquivalence:
             assert ([race_snapshot(r) for r in det.races]
                     == [race_snapshot(r) for r in reference.races]), seed
 
-    def test_stats_match_the_pickle_backend(self, backend):
+    def test_stats_match_inline_sharding(self, backend):
         # Same transport-invisibility claim for the counters: whatever
-        # crosses the process boundary, the detector work is identical.
+        # crosses the process boundary, the detector work is identical to
+        # replaying the same shards in-process.
         for seed in BACKEND_SEEDS[:6]:
             program = random_multi_object_program(seed)
             trace, bindings = build_multi_object_trace(program)
-            pickled = run_detector(trace, bindings, ShardedDetector,
-                                   workers=2, backend="pickle")
+            inline = run_detector(trace, bindings, ShardedDetector,
+                                  workers=1)
             other = run_detector(trace, bindings, ShardedDetector,
                                  workers=2, backend=backend)
-            assert other.races == pickled.races
-            assert other.stats == pickled.stats
+            assert other.races == inline.races
+            assert other.stats == inline.stats
 
     def test_composes_with_prune_batch_and_adaptive(self, backend):
         for seed in (3, 17, 41):

@@ -302,8 +302,7 @@ class TestStampedCodec:
             encoder = StampedEncoder(ring)
             decoder = StampedDecoder(ring)
             decoded = []
-            entry = (None, None, None, None, packed_actions)
-            feeder = feed_shard(encoder, [entry], chunk=1)
+            feeder = feed_shard(encoder, [packed_actions], chunk=1)
             consumer = decoder.streams()
             stalls = 0
 

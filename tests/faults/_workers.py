@@ -1,10 +1,15 @@
 """Module-level workers for supervisor tests (importable under spawn)."""
 
 
-def echo(index, payload, attempt):
-    """The simplest deterministic worker: returns its own call record."""
-    return ("ok", index, payload)
+def actions(index, payload, attempt):
+    """Read a shard payload to its end: each object's name and actions.
+
+    The actions are lists in-process and ring sections in a worker
+    process; either way the result is the same plain data.
+    """
+    return (index, [(entry[0], [packed[:5] for packed in entry[4]])
+                    for entry in payload[6]])
 
 
-def double(index, payload, attempt):
-    return payload * 2
+def boom(index, payload, attempt):
+    raise RuntimeError(f"worker {index} exploded")

@@ -3,7 +3,7 @@
 Every bad invocation must produce exactly one ``repro-analyze: error:``
 line on stderr and the documented exit code — never an argparse usage
 dump or a traceback — and Ctrl-C must exit 130 leaving valid partial
-observability output and no orphan pool workers.
+observability output and no orphan shard workers.
 """
 
 import json
@@ -12,7 +12,8 @@ import multiprocessing
 import pytest
 
 from repro.cli import (EXIT_DATA, EXIT_INTERRUPT, EXIT_USAGE, main)
-from repro.core.supervise import ShardSupervisor
+from repro.core import parallel
+from repro.core.backend import shm_available
 
 TRACE = "tests/data/multi_object_mixed.jsonl"
 OBJECTS = ["--object", "a=accumulator", "--object", "d=dictionary",
@@ -92,14 +93,17 @@ def test_help_documents_exit_codes(capsys):
         assert code in out
 
 
+@pytest.mark.skipif(not shm_available(),
+                    reason="no shared memory on this host")
 def test_keyboard_interrupt_exits_130_with_valid_spans(monkeypatch,
                                                        tmp_path, capsys):
-    """Ctrl-C during the fan-out: exit 130, pool torn down (no orphan
-    workers), and the partial --spans file is still line-valid JSONL."""
-    def interrupt(handle, deadline):
+    """Ctrl-C during the fan-out: exit 130, shard workers torn down (no
+    orphans), and the partial --spans file is still line-valid JSONL."""
+    def interrupt(encoder, sections):
         raise KeyboardInterrupt
+        yield
 
-    monkeypatch.setattr(ShardSupervisor, "_await", staticmethod(interrupt))
+    monkeypatch.setattr(parallel, "feed_shard", interrupt)
     spans = tmp_path / "spans.jsonl"
     code = main([TRACE, *OBJECTS, "--workers", "2",
                  "--spans", str(spans)])

@@ -9,18 +9,26 @@ with the fault visible in the fault log (and, through the CLI, in the
 Seeds are chosen from the shared randomized-program corpus for verdict
 variety (the list includes race-dense and race-free traces and 2-6 object
 programs); the seeded fault plans stack worker exceptions and unpicklable
-results across shards and attempts.  Hang and kill faults each cost a
-timeout window to detect, so they get dedicated single-fault cases
-rather than riding the seed sweep.
+results across shards and attempts.  Hang and kill faults get dedicated
+single-fault cases rather than riding the seed sweep (a hang costs a
+timeout window to detect).
+
+Every plan fires inside the shm transport's worker processes, and every
+test asserts the exact fault kinds the supervisor recorded — an output
+match alone would also pass if no fault had fired.  A host without shared
+memory replays shards in-process, where no fault can fire, so the suite
+skips there.
 """
 
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from repro.core.backend import shm_available
 from repro.core.detector import CommutativityRaceDetector
 from repro.core.parallel import ShardedDetector
 from repro.core.supervise import SupervisorConfig
@@ -31,6 +39,9 @@ from tests.faults.conftest import FAST_TIMEOUT, HANG_SECONDS, START_METHOD
 from tests.support import (build_multi_object_trace,
                            race_snapshot, random_multi_object_program,
                            register_bindings)
+
+pytestmark = pytest.mark.skipif(not shm_available(),
+                                reason="no shared memory on this host")
 
 # Seeds with known verdict variety (0/10/12/16/18 produce 126/52/16/59/232
 # races over 4/5/4/3/2 objects; 11 is race-free with 4 objects).
@@ -55,7 +66,31 @@ def supervised_run(trace, bindings, plan, retries=1, timeout=60.0):
                                supervisor=config, obs=obs)
     register_bindings(detector, bindings)
     detector.run(trace)
+    assert detector.backend.selected == "shm"
     return detector, obs
+
+
+def expected_kinds(plan, shards, retries):
+    """The fault record a plan must leave, derived from the plan alone.
+
+    Only worker processes fire faults, and a single shard replays inline,
+    so nothing fires below two shards.  ``raise`` fails each attempt it
+    covers and is retried; ``bad-result`` is never retried.  Either
+    falls back in-process once the worker attempts run out.
+    """
+    kinds = Counter()
+    for index in range(shards if shards > 1 else 0):
+        spec = plan.spec_for(index)
+        if spec is None:
+            continue
+        if spec.kind == "bad-result":
+            kinds["shard/result-unpicklable"] += 1
+            kinds["shard/fallback"] += 1
+        else:
+            kinds["shard/worker-raised"] += min(spec.times, retries + 1)
+            if spec.times > retries:
+                kinds["shard/fallback"] += 1
+    return dict(kinds)
 
 
 def assert_identical(detector, sequential):
@@ -70,12 +105,10 @@ def test_seeded_fault_plans_preserve_output(seed):
     plan = FaultPlan.seeded(seed, shards=2, retries=1)
     detector, obs = supervised_run(trace, bindings, plan, retries=1)
     assert_identical(detector, sequential)
-    if plan.has_faults() and len(bindings) > 1:
-        # >=2 objects means >=2 shards, so at least one planned fault
-        # actually fired — and must therefore be on the record.
-        assert detector.faults
-        assert obs.snapshot()["counters"]["shard_faults"] == \
-            len(detector.faults)
+    assert detector.faults.by_kind() == expected_kinds(
+        plan, shards=min(2, len(bindings)), retries=1)
+    assert obs.snapshot()["counters"].get("shard_faults", 0) == \
+        len(detector.faults)
 
 
 def test_hang_past_timeout_preserves_output():
@@ -85,8 +118,8 @@ def test_hang_past_timeout_preserves_output():
     detector, _ = supervised_run(trace, bindings, plan, retries=0,
                                  timeout=FAST_TIMEOUT)
     assert_identical(detector, sequential)
-    assert detector.faults.count(kind="timeout") == 1
-    assert detector.faults.count(kind="fallback") == 1
+    assert detector.faults.by_kind() == {"shard/timeout": 1,
+                                     "shard/fallback": 1}
 
 
 def test_killed_worker_preserves_output():
@@ -95,7 +128,9 @@ def test_killed_worker_preserves_output():
     detector, _ = supervised_run(trace, bindings, plan, retries=1,
                                  timeout=FAST_TIMEOUT)
     assert_identical(detector, sequential)
-    assert detector.faults.count(kind="timeout") == 1
+    # The dead worker's pipe closes unanswered; the retry succeeds.
+    assert detector.faults.by_kind() == {"shard/worker-raised": 1}
+    assert "died" in next(iter(detector.faults)).detail
 
 
 def test_unpicklable_results_on_every_shard_preserve_output():
@@ -103,8 +138,8 @@ def test_unpicklable_results_on_every_shard_preserve_output():
     plan = FaultPlan(default=FaultSpec("bad-result", times=99))
     detector, _ = supervised_run(trace, bindings, plan)
     assert_identical(detector, sequential)
-    assert detector.faults.count(kind="result-unpicklable") >= 1
-    assert detector.faults.count(kind="fallback") >= 1
+    assert detector.faults.by_kind() == {"shard/result-unpicklable": 2,
+                                     "shard/fallback": 2}
 
 
 def run_cli(*argv, env_extra=None):
@@ -138,7 +173,10 @@ def test_cli_fault_plan_differential_with_stats_json(tmp_path):
     assert "tolerated" in faulty.stderr
     report = json.loads(stats.read_text())
     counts = report["faults"]["counts"]
-    assert counts.get("shard/worker-raised", 0) >= 1
+    # Three objects over two shm workers: each shard raises once, then
+    # its retry succeeds.
+    assert counts == {"shard/worker-raised": 2}
+    assert "backend: auto -> shm" in faulty.stderr
     assert report["stats"]["counters"]["shard_faults"] == sum(
         counts.values())
 

@@ -147,7 +147,7 @@ class TestBackendFlag:
                      "--workers", "2", "--backend", "shm"])
         err = capsys.readouterr().err
         assert code == 1
-        assert "backend: shm -> pickle" in err
+        assert "backend: shm -> inline" in err
 
     def test_backend_needs_rd2_and_workers(self, racy_trace_file):
         with pytest.raises(SystemExit):
@@ -167,34 +167,16 @@ class TestRetiredFlags:
         # Deleted options must fail in the parser, not be silently ignored.
         for extra in (["--adaptive"],
                       ["--batch-window", "2"],
-                      ["--workers", "2", "--backend", "subinterp"]):
+                      ["--no-epochs"],
+                      ["--workers", "2", "--backend", "subinterp"],
+                      ["--workers", "2", "--backend", "pickle"],
+                      ["--workers", "2", "--backend", "thread"]):
             with pytest.raises(SystemExit) as err:
                 main([racy_trace_file, "--object", "o=dictionary", *extra])
             assert err.value.code == 2, extra
             usage = capsys.readouterr().err
             assert ("unrecognized arguments" in usage
                     or "invalid choice" in usage), usage
-
-
-class TestEpochBatchFlags:
-    def test_no_epochs_is_byte_identical_to_default(self, racy_trace_file,
-                                                    capsys):
-        default = main([racy_trace_file, "--object", "o=dictionary"])
-        default_out = capsys.readouterr().out
-        plain = main([racy_trace_file, "--object", "o=dictionary",
-                      "--no-epochs"])
-        plain_out = capsys.readouterr().out
-        assert plain == default == 1
-        assert plain_out == default_out
-
-    def test_no_epochs_rejected_outside_rd2(self, racy_trace_file):
-        with pytest.raises(SystemExit) as err:
-            main([racy_trace_file, "--detector", "fasttrack", "--no-epochs"])
-        assert err.value.code == 2
-        with pytest.raises(SystemExit) as err:
-            main([racy_trace_file, "--object", "o=dictionary",
-                  "--atomicity", "--no-epochs"])
-        assert err.value.code == 2
 
 
 class TestPruneIntervalFlag:
