@@ -23,16 +23,17 @@ the *observability overhead gate* (detector timed with metrics disabled
 vs. the sampled registry enabled) and the *supervisor overhead gate*
 (the shm fan-out timed with shard supervision on vs. one bare
 unsupervised shm round, on the fault-free path) — plus the *hot-path
-gate*: the compiled detector path (check plans + interned points + CoW
-stamping) must be >=1.3x the seed path end-to-end, and copy-on-write
-stamping >=1.5x the copying freeze on the Phase-A microbench.
+gate*: the detector (check plans + interned points + CoW stamping) must
+be >=1.3x a bench-local replay of the seed detector end-to-end, and
+copy-on-write stamping >=1.5x the copying freeze on the Phase-A
+microbench.
 
 ``--hotpath`` runs the hot-path microbench suite on its own (stamping,
 end-to-end detector, golden-trace corpus replay, and the PR 7
 epoch-adaptive leg) and writes the machine-readable results to
 ``BENCH_PR4.json`` / ``BENCH_PR7.json`` (see ``--hotpath-json`` /
-``--epoch-json``).  The epoch leg compares the compiled full-vector-clock
-detector against compiled epoch-adaptive clocks, both per event, on a
+``--epoch-json``).  The epoch leg compares the full-vector-clock
+detector against epoch-adaptive clocks, both per event, on a
 wide-clock, mostly-thread-local workload and is gated at >=3.0x.
 It then runs the PR 9 *backend fan-out leg*: the shm transport vs. a
 pickle baseline — a bench-local ``multiprocessing.Pool.map`` of the
@@ -61,8 +62,10 @@ import random
 import time
 
 from repro.core.detector import CommutativityRaceDetector
+from repro.core.events import EventKind
 from repro.core.hb import HappensBeforeTracker
 from repro.core.parallel import ShardedDetector, _analyze_shard
+from repro.core.races import CommutativityRace
 from repro.core.serialize import load_trace
 from repro.core.trace import TraceBuilder
 from repro.core.vector_clock import MutableVectorClock, VectorClock
@@ -386,38 +389,85 @@ def stamping_bench(events: int, threads: int, seed: int = 0,
     }
 
 
-def detector_bench(trace, objects: int, repeats: int = 5) -> dict:
-    """End-to-end detector throughput, compiled path vs. seed path.
+def seed_replay(trace, representations) -> tuple:
+    """The seed detector, replayed bench-locally: the hot-path baseline.
 
-    Compiled = check plans + interned access points + CoW stamping (the
-    default).  Seed = ``compiled=False`` (representation dispatch per
-    action) under the seed's copying stamp.  Verdicts are asserted equal
-    before any timing counts.
+    Algorithm 1 the way the seed ran it: a happens-before tracker (run
+    it under :func:`_seed_stamping` for the seed's copying stamp), ηo
+    through ``rep.points_of`` and ``Co(pt)`` through the
+    ``rep.conflicting_candidates`` generator on every action, and plain
+    ``VectorClock.leq``/``join`` point clocks.  Races are built and
+    dropped, as a detector with ``keep_reports=False`` does.  Returns
+    ``(races, conflict_checks)`` so each leg can assert both sides did
+    the same work before any timing counts.
     """
-    def run_once(compiled):
+    tracker = HappensBeforeTracker(root=trace.root)
+    point_clocks = {obj: {} for obj in representations}
+    races = checks = 0
+    for event in trace:
+        clock = tracker.observe(event)
+        if event.kind is not EventKind.ACTION:
+            continue
+        action = event.action
+        rep = representations.get(action.obj)
+        if rep is None:
+            continue
+        clocks = point_clocks[action.obj]
+        points = rep.points_of(action)
+        for pt in points:
+            for candidate in rep.conflicting_candidates(pt):
+                checks += 1
+                prior = clocks.get(candidate)
+                if prior is not None and not prior.leq(clock):
+                    CommutativityRace(
+                        obj=action.obj, current=action, current_clock=clock,
+                        current_tid=event.tid, point=pt,
+                        prior_point=candidate, prior_clock=prior)
+                    races += 1
+        for pt in points:
+            prior = clocks.get(pt)
+            clocks[pt] = clock if prior is None else prior.join(clock)
+    return races, checks
+
+
+def timed_seed_replay(trace, representations) -> tuple:
+    """``(seconds, (races, conflict_checks))`` of one seed replay."""
+    with _seed_stamping():
+        start = time.perf_counter()
+        verdict = seed_replay(trace, representations)
+        return time.perf_counter() - start, verdict
+
+
+def detector_bench(trace, objects: int, repeats: int = 5) -> dict:
+    """End-to-end detector throughput against the seed replay.
+
+    The detector runs check plans + interned access points + CoW
+    stamping (the default); the baseline is :func:`seed_replay` under
+    the seed's copying stamp.  Race and conflict-check counts are
+    asserted equal before any timing counts.
+    """
+    representations = {f"d{index}": dictionary_representation()
+                       for index in range(objects)}
+
+    def run_once():
         # adaptive is pinned off so this leg keeps measuring exactly the
         # PR 4 delta (plan compilation + interning + CoW stamping) now
         # that epoch-adaptive clocks are the constructor default; the
         # epoch win has its own leg and gate (epoch_bench).
         detector = register_all(
             CommutativityRaceDetector(root=0, keep_reports=False,
-                                      compiled=compiled, adaptive=False),
+                                      adaptive=False),
             objects)
         return timed_run(detector, trace), detector
 
-    _, fast = run_once(True)
-    with _seed_stamping():
-        _, slow = run_once(False)
+    _, fast = run_once()
     got = (fast.stats.races, fast.stats.conflict_checks)
-    want = (slow.stats.races, slow.stats.conflict_checks)
-    assert got == want, f"verdict drift on compiled path: {got} != {want}"
-
-    def run_seed():
-        with _seed_stamping():
-            return run_once(False)[0]
+    _, want = timed_seed_replay(trace, representations)
+    assert got == want, f"verdict drift against the seed: {got} != {want}"
 
     best_fast, best_seed = _interleaved_best(
-        lambda: run_once(True)[0], run_seed, repeats)
+        lambda: run_once()[0],
+        lambda: timed_seed_replay(trace, representations)[0], repeats)
     return {
         "events": len(trace),
         "objects": objects,
@@ -431,12 +481,13 @@ def detector_bench(trace, objects: int, repeats: int = 5) -> dict:
 
 
 def golden_corpus_bench(repeats: int = 5, passes: int = 20) -> dict:
-    """Replay the frozen golden traces (``tests/data``) in both modes.
+    """Replay the frozen golden traces (``tests/data``) both ways.
 
     The traces are small, so each timed run replays the whole corpus
     ``passes`` times.  Race and check counts are asserted identical
-    between the modes before timing (the byte-level report identity is
-    the test suite's job; the bench only needs to not time a lie).
+    between the detector and the seed replay before timing (the
+    byte-level report identity is the test suite's job; the bench only
+    needs to not time a lie).
     """
     registry = bundled_objects()
     cases = []
@@ -451,20 +502,19 @@ def golden_corpus_bench(repeats: int = 5, passes: int = 20) -> dict:
         raise SystemExit(f"no golden traces found under {GOLDEN_DIR}")
     events_per_pass = sum(len(trace) for _, trace, _ in cases)
 
-    def replay_all(compiled):
-        # Time only detector.run: the corpus traces are tiny, so detector
-        # construction and plan compilation (both once-per-object setup,
-        # not per-event work) would otherwise swamp the hot path.
+    # Time only the replay itself: the corpus traces are tiny, so
+    # detector construction and plan compilation (both once-per-object
+    # setup, not per-event work) would otherwise swamp the hot path.
+    def replay_detector():
         verdicts = []
         total = 0.0
         for _ in range(passes):
             verdicts.clear()
             for _, trace, bindings in cases:
                 # adaptive pinned off for the same reason as detector_bench:
-                # this leg times the PR 4 compiled-path delta in isolation.
+                # this leg times the PR 4 delta in isolation.
                 detector = CommutativityRaceDetector(
-                    root=trace.root, keep_reports=False, compiled=compiled,
-                    adaptive=False)
+                    root=trace.root, keep_reports=False, adaptive=False)
                 for obj, kind in bindings.items():
                     detector.register_object(
                         obj, registry[kind].representation())
@@ -475,19 +525,27 @@ def golden_corpus_bench(repeats: int = 5, passes: int = 20) -> dict:
                                  detector.stats.conflict_checks))
         return total, verdicts
 
-    _, fast_verdicts = replay_all(True)
-    with _seed_stamping():
-        _, seed_verdicts = replay_all(False)
+    def replay_seed():
+        verdicts = []
+        total = 0.0
+        for _ in range(passes):
+            verdicts.clear()
+            for _, trace, bindings in cases:
+                representations = {obj: registry[kind].representation()
+                                   for obj, kind in bindings.items()}
+                seconds, verdict = timed_seed_replay(trace, representations)
+                total += seconds
+                verdicts.append(verdict)
+        return total, verdicts
+
+    _, fast_verdicts = replay_detector()
+    _, seed_verdicts = replay_seed()
     assert fast_verdicts == seed_verdicts, (
         "verdict drift on the golden corpus: "
         f"{fast_verdicts} != {seed_verdicts}")
 
-    def run_seed():
-        with _seed_stamping():
-            return replay_all(False)[0]
-
     best_fast, best_seed = _interleaved_best(
-        lambda: replay_all(True)[0], run_seed, repeats)
+        lambda: replay_detector()[0], lambda: replay_seed()[0], repeats)
     total = events_per_pass * passes
     return {
         "traces": [name for name, _, _ in cases],
@@ -560,7 +618,7 @@ def epoch_bench(trace, objects: int, threads: int,
                 repeats: int = 5) -> dict:
     """Epoch-adaptive clocks vs. the PR 4 hot path, both per event.
 
-    Both sides run the compiled check-plan loop; the baseline pins
+    Both sides run the detector's one check loop; the baseline pins
     ``adaptive=False`` (exactly the configuration the PR 4 gate froze)
     and the candidate runs epochs.  Race and conflict-check counts are
     asserted identical before any timing counts — the speedup cannot
@@ -636,9 +694,9 @@ def hotpath_gate(events: int, objects: int, threads: int, seed: int = 0,
     """Run the suite, print it, gate on the speedup floors, write the JSON.
 
     Floors (from the PR acceptance criteria): CoW stamping must be
-    >=1.5x the seed stamp on the Phase-A microbench, the compiled
-    detector >=1.3x the seed path end-to-end (both PR 4), and the
-    epoch-adaptive detector >=3.0x the compiled full-vector-clock path
+    >=1.5x the seed stamp on the Phase-A microbench, the detector
+    >=1.3x the bench-local seed replay end-to-end (both PR 4), and the
+    epoch-adaptive detector >=3.0x the full-vector-clock detector
     on the contended workload (PR 7).  As with the overhead gates, a
     first-attempt breach triggers one longer re-measurement before the
     verdict sticks.
@@ -1223,8 +1281,8 @@ def main(argv=None) -> int:
         print(f"observability report written to {args.stats_json}")
 
     if args.smoke:
-        # The observability gate times the default (compiled) detector, so
-        # the compiled path is also held to the existing 5% obs budget.
+        # The observability gate times the default detector, so its one
+        # check loop is also held to the existing 5% obs budget.
         ok = overhead_gate(trace, args.objects)
         ok = supervisor_overhead_gate(trace, args.objects) and ok
         ok = hotpath_gate(args.events, args.objects, args.threads,

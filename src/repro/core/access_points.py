@@ -95,8 +95,10 @@ class AccessPointRepresentation(ABC):
 
     Subclasses must implement ``points_of`` (ηo) and ``conflicts`` (Co
     membership).  Bounded representations additionally enumerate
-    ``conflicting_candidates`` — the finite ``Co(pt)`` — enabling the
-    detector's constant-time ENUMERATE strategy.
+    ``conflicting_candidates`` — the finite ``Co(pt)``.  The detector
+    runs its constant-time ENUMERATE strategy only for a bounded
+    :class:`SchemaRepresentation`, which compiles to a check plan; any
+    other subclass runs SCAN.
     """
 
     #: human-readable name of the object kind this representation covers

@@ -39,14 +39,21 @@ The intersection in phase 1 can be enumerated two ways (Section 5.4):
 
 * :attr:`Strategy.ENUMERATE` — iterate the finite ``Co(pt)`` and probe
   ``active(o)`` by hash lookup.  Constant work per action for ECL-derived
-  representations (Theorem 6.6), independent of trace length.
-* :attr:`Strategy.SCAN` — iterate ``active(o)`` and test ``Co`` membership.
-  Linear in ``|active(o)|`` but the only option when ``Co(pt)`` is infinite
-  (naive representations).
+  representations (Theorem 6.6), independent of trace length.  An
+  ENUMERATE object always runs through a :class:`~repro.core.plan.
+  CheckPlan` compiled at registration: ηo resolves through the plan's
+  intern table and ``Co(pt)`` is a cached tuple of canonical points.
+* :attr:`Strategy.SCAN` — iterate ``active(o)`` and test ``Co`` membership
+  through the representation.  Linear in ``|active(o)|`` but the only
+  option when ``Co(pt)`` is infinite (naive representations) or the
+  representation is not a :class:`~repro.core.access_points.
+  SchemaRepresentation`.
 
-:attr:`Strategy.AUTO` picks per representation.  The detector counts its
-conflict checks so the Fig. 4 / scaling benchmarks can report comparisons
-performed, not just wall time.
+Both strategies share one per-action loop (:meth:`CommutativityRaceDetector.
+_process_action`); a check plan exists exactly when the object runs
+ENUMERATE.  :attr:`Strategy.AUTO` picks ENUMERATE whenever a plan
+compiles.  The detector counts its conflict checks so the Fig. 4 /
+scaling benchmarks can report comparisons performed, not just wall time.
 """
 
 from __future__ import annotations
@@ -58,11 +65,12 @@ from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .access_points import AccessPoint, AccessPointRepresentation, SchemaId
-from .errors import MonitorError, SpecificationError
+from .errors import MonitorError
 from .events import Action, Event, EventKind, ObjectId
 from .hb import HappensBeforeTracker
-from .plan import (CheckPlan, _PointClock, _PointEpoch, _as_clock,
-                   _point_ordered, _process_compiled, compile_check_plan)
+from .plan import (CheckPlan, _intern_candidates, _intern_point,
+                   _PointClock, _PointEpoch, _as_clock, _point_ordered,
+                   compile_check_plan)
 from .races import CommutativityRace
 from .vector_clock import Tid, VectorClock
 
@@ -72,7 +80,7 @@ from .vector_clock import Tid, VectorClock
 UNTOUCHED = "∅"
 
 __all__ = ["Strategy", "DetectorStats", "CommutativityRaceDetector",
-           "UNTOUCHED"]
+           "UNTOUCHED", "resolve_strategy"]
 
 
 class Strategy(enum.Enum):
@@ -81,6 +89,29 @@ class Strategy(enum.Enum):
     AUTO = "auto"
     ENUMERATE = "enumerate"
     SCAN = "scan"
+
+
+def resolve_strategy(obj: ObjectId, representation: AccessPointRepresentation,
+                     strategy: Strategy
+                     ) -> Tuple[Strategy, Optional[CheckPlan]]:
+    """Resolve an object's phase-1 strategy and compile its check plan.
+
+    ENUMERATE runs only through a :class:`~repro.core.plan.CheckPlan`, so
+    ``AUTO`` picks it exactly when the representation compiles, and an
+    explicit ENUMERATE on one that cannot compile raises.  The plan is
+    ``None`` exactly when the result is SCAN.
+    """
+    if strategy is Strategy.SCAN:
+        return Strategy.SCAN, None
+    plan = compile_check_plan(representation)
+    if plan is not None:
+        return Strategy.ENUMERATE, plan
+    if strategy is Strategy.ENUMERATE:
+        raise MonitorError(
+            f"object {obj!r}: ENUMERATE strategy requires a bounded "
+            f"SchemaRepresentation ({representation!r} does not compile "
+            f"to a check plan)")
+    return Strategy.SCAN, None
 
 
 @dataclass
@@ -109,8 +140,8 @@ class DetectorStats:
     #: active points reclaimed by :meth:`~CommutativityRaceDetector.
     #: prune_ordered_points` over the detector's lifetime
     points_pruned: int = 0
-    #: intern-table entries dropped alongside pruned points (the compiled
-    #: path's ``(schema, value) -> AccessPoint`` table would otherwise
+    #: intern-table entries dropped alongside pruned points (an ENUMERATE
+    #: object's ``(schema, value) -> AccessPoint`` table would otherwise
     #: retain every value-carrying point ever touched — pruning without
     #: eviction bounds ``active(o)`` but not memory)
     interned_points_evicted: int = 0
@@ -140,7 +171,7 @@ class _ObjectState:
 
     representation: AccessPointRepresentation
     strategy: Strategy
-    #: compiled ENUMERATE fast path (None: generic interpreted path)
+    #: the ENUMERATE check plan (None exactly when the object runs SCAN)
     plan: Optional[CheckPlan] = None
     #: ``active(o)`` as an insertion-ordered dict-set: scan order must be
     #: first-touch order, not hash order, so race reports come out
@@ -152,14 +183,14 @@ class _ObjectState:
     #: and check attribution can name (method, method) pairs.  Maintained
     #: (and consulted) only when the detector carries an enabled registry.
     point_method: Dict[AccessPoint, str] = field(default_factory=dict)
-    #: compiled path: ``(schema, value) -> canonical AccessPoint``, so the
+    #: ENUMERATE: ``(schema, value) -> canonical AccessPoint``, so the
     #: state dicts are probed with identity-cached hashes instead of fresh
     #: dataclass instances.  ηo-output validation happens on intern miss —
     #: once per distinct pair, not once per action.
     interned: Dict[Tuple[SchemaId, Any], AccessPoint] = field(
         default_factory=dict)
-    #: compiled path: cached ``Co(pt)`` tuples of canonical points, so
-    #: phase 1 stops driving the conflicting_candidates generator.
+    #: ENUMERATE: cached ``Co(pt)`` tuples of canonical points, so
+    #: phase 1 never drives the conflicting_candidates generator.
     candidates: Dict[AccessPoint, Tuple[AccessPoint, ...]] = field(
         default_factory=dict)
 
@@ -181,8 +212,11 @@ class CommutativityRaceDetector:
     root:
         Thread id of the initial thread.
     strategy:
-        Global phase-1 strategy; ``AUTO`` selects ENUMERATE for bounded
-        representations and SCAN otherwise, per object.
+        Global phase-1 strategy; ``AUTO`` selects ENUMERATE for
+        representations that compile to a check plan (a bounded
+        :class:`~repro.core.access_points.SchemaRepresentation`) and
+        SCAN otherwise, per object.  An explicit ENUMERATE on a
+        representation that cannot compile raises at registration.
     on_race:
         Optional callback invoked for each race as it is found (the paper's
         on-the-fly reporting); return value ignored.
@@ -195,9 +229,10 @@ class CommutativityRaceDetector:
         and joins, inflated to a bare vector clock only on concurrent
         cross-thread contention and deflated back on ordered touches or
         at maintenance windows.  Exactly report-preserving;
-        ``adaptive=False`` keeps plain vector clocks everywhere (the
-        hot-path benchmark's PR 4 baseline, and the reference the
-        equivalence suite compares against byte for byte).
+        ``adaptive=False`` keeps plain vector clocks everywhere — the
+        one reference mode: the equivalence matrix compares every
+        configuration against it byte for byte, and the epoch gate
+        times against it.
     obs:
         Optional :class:`~repro.obs.registry.Registry`.  When enabled, the
         detector attributes conflict checks, races and pruned points per
@@ -207,14 +242,6 @@ class CommutativityRaceDetector:
         instrumented hot path within the benchmark gate's 5% overhead
         budget.  A disabled registry is equivalent to ``None``: the hot
         path pays one ``is None`` test and nothing else.
-    compiled:
-        When true (the default), ENUMERATE-strategy objects whose
-        representation is a bounded :class:`~repro.core.access_points.
-        SchemaRepresentation` run Algorithm 1 through a compiled
-        :class:`~repro.core.plan.CheckPlan` (interned access points,
-        cached candidate tuples, no per-action ηo validation).  Verdict
-        and counter preserving; ``compiled=False`` keeps the generic
-        interpreted path everywhere (the hot-path benchmark's baseline).
     predict_window:
         When > 0, the detector additionally runs the predictive pass of
         :mod:`repro.core.predict` over the processed trace: every event
@@ -236,7 +263,6 @@ class CommutativityRaceDetector:
         prune_interval: int = 0,
         adaptive: bool = True,
         obs=None,
-        compiled: bool = True,
         predict_window: int = 0,
     ):
         if predict_window < 0:
@@ -249,7 +275,6 @@ class CommutativityRaceDetector:
         self._keep_reports = keep_reports
         self._prune_interval = prune_interval
         self._adaptive = adaptive
-        self._compiled = compiled
         self._actions_since_prune = 0
         self._objects: Dict[ObjectId, _ObjectState] = {}
         self.races: List[CommutativityRace] = []
@@ -257,11 +282,10 @@ class CommutativityRaceDetector:
         self._predict_window = predict_window
         self._predict_log: Optional[List[Event]] = (
             [] if predict_window else None)
-        # Touched-point capture: the compiled loop resolves ηo for every
-        # action anyway, so in predict mode it stashes the tuple and the
+        # Touched-point capture: phase 1 resolves ηo for every action
+        # anyway, so in predict mode it stashes the tuple and the
         # predictor reuses it instead of re-evaluating the formulas on
-        # refeed.  Keyed by log position; plan-less objects have no entry
-        # and fall back to recomputing.
+        # refeed.  Keyed by log position.
         self._predict_points: Optional[Dict[int, tuple]] = (
             {} if predict_window else None)
         self._predict_last: Optional[tuple] = None
@@ -297,29 +321,15 @@ class CommutativityRaceDetector:
 
     def register_object(self, obj: ObjectId,
                         representation: AccessPointRepresentation,
-                        strategy: Optional[Strategy] = None, *,
-                        plan: Optional[CheckPlan] = None) -> None:
+                        strategy: Optional[Strategy] = None) -> None:
         """Attach an access point representation to a shared object.
 
-        ``plan`` lets callers supply a pre-compiled check plan (the sharded
-        analyzer compiles once and ships the plan to every worker);
-        normally it is compiled here when the resolved strategy is
-        ENUMERATE and the detector runs compiled.
+        ENUMERATE objects get their check plan compiled here, once.
         """
         if obj in self._objects:
             raise MonitorError(f"object {obj!r} registered twice")
-        chosen = strategy or self._strategy
-        if chosen is Strategy.AUTO:
-            chosen = (Strategy.ENUMERATE if representation.bounded
-                      else Strategy.SCAN)
-        if chosen is Strategy.ENUMERATE and not representation.bounded:
-            raise MonitorError(
-                f"object {obj!r}: ENUMERATE strategy requires a bounded "
-                f"representation ({representation!r} is unbounded)")
-        if chosen is not Strategy.ENUMERATE:
-            plan = None
-        elif plan is None and self._compiled:
-            plan = compile_check_plan(representation)
+        chosen, plan = resolve_strategy(obj, representation,
+                                        strategy or self._strategy)
         self._objects[obj] = _ObjectState(representation, chosen, plan=plan)
 
     def release_object(self, obj: ObjectId) -> None:
@@ -382,7 +392,7 @@ class CommutativityRaceDetector:
             state.active.pop(pt, None)
             del point_clock[pt]
             state.point_method.pop(pt, None)
-        # Evict the compiled path's canonical instances along with the
+        # Evict the ENUMERATE canonical instances along with the
         # points: every interned entry whose point is no longer active is
         # dead weight — the pruned points themselves, plus probe-only
         # candidates that were interned for their sake and would otherwise
@@ -419,7 +429,7 @@ class CommutativityRaceDetector:
     def interned_point_count(self) -> int:
         """Total interned (schema, value) entries across objects.
 
-        The compiled path's other growing table — together with
+        The ENUMERATE objects' other growing table — together with
         :meth:`active_point_count` this is the detector's per-object
         memory footprint in points.
         """
@@ -616,18 +626,44 @@ class CommutativityRaceDetector:
 
     def _process_action(self, event: Event,
                         clock: VectorClock) -> Optional[List[CommutativityRace]]:
+        """Algorithm 1 for one action — the detector's only check loop.
+
+        ENUMERATE objects (those with a :class:`~repro.core.plan.
+        CheckPlan`) resolve ηo through the plan's intern table and probe
+        the cached ``Co(pt)`` tuples; SCAN objects resolve ηo through
+        ``points_of`` and test every active point with ``conflicts``.
+        Attribution and phase 2 are shared.
+        """
         action = event.action
         state = self._objects.get(action.obj)
         if state is None:
             # Unregistered objects are not analyzed (RoadRunner-style tools
             # likewise only track instrumented classes).
             return None
-        self.stats.actions += 1
-        if state.plan is not None:
-            return _process_compiled(self, state, action, event.tid, clock)
-        rep = state.representation
-        points = rep.points_of(action)
-        self.stats.points_touched += len(points)
+        stats = self.stats
+        stats.actions += 1
+        plan = state.plan
+        if plan is not None:
+            # ηo: resolve each (schema, value) pair to its canonical
+            # point.  The full list is built before phase 1 so an invalid
+            # pair raises before any state changes, as points_of would;
+            # validation runs on intern misses only.
+            interned = state.interned
+            points = []
+            append = points.append
+            for schema, value in plan.touches(action):
+                pt = interned.get((schema, value))
+                if pt is None:
+                    pt = _intern_point(state, action, schema, value)
+                append(pt)
+        else:
+            points = state.representation.points_of(action)
+        stats.points_touched += len(points)
+        if self._predict_log is not None:
+            # Predict mode: stash the resolved tuple so the predictive
+            # refeed reuses it instead of re-evaluating ηo (process()
+            # files it under the event's log position).
+            self._predict_last = tuple(points)
 
         # Sampled actions pay for timing + attribution with their counts
         # weight-scaled back up; unsampled actions pay only for this one
@@ -637,30 +673,65 @@ class CommutativityRaceDetector:
         # sample_interval=1 and statistical otherwise.
         sampled = self._obs is not None and self._obs_sampled
         if sampled:
-            checks_before = self.stats.conflict_checks
             start = perf_counter_ns()
 
         # Phase 1: check for commutativity races.
         found: List[CommutativityRace] = []
+        checks = 0
+        tid = event.tid
+        point_clock = state.point_clock
+        if plan is not None:
+            candidate_map = state.candidates
+        else:
+            active = state.active
+            conflicts = state.representation.conflicts
         for pt in points:
-            if state.strategy is Strategy.ENUMERATE:
-                self._check_enumerate(state, pt, event, clock, found)
+            if plan is not None:
+                # Iterate Co(pt), probe active(o): Θ(|Co(pt)|) per point.
+                cands = candidate_map.get(pt)
+                if cands is None:
+                    cands = _intern_candidates(state, pt)
+                checks += len(cands)
             else:
-                self._check_scan(state, pt, event, clock, found)
+                # Iterate active(o), test Co membership: Θ(|active(o)|).
+                checks += len(active)
+                cands = [other for other in active if conflicts(pt, other)]
+            for candidate in cands:
+                prior_clock = point_clock.get(candidate)
+                if prior_clock is None:
+                    continue  # candidate not active
+                if type(prior_clock) is _PointEpoch:
+                    if prior_clock.stamp <= clock[prior_clock.tid]:
+                        continue
+                    prior = prior_clock.clock
+                elif prior_clock.leq(clock):
+                    continue
+                else:
+                    prior = prior_clock
+                self._report(state, pt, candidate, prior, action, tid, clock,
+                             found)
+        stats.conflict_checks += checks
 
         if sampled:
-            delta = ((self.stats.conflict_checks - checks_before)
-                     * self._obs_interval)
+            # Charge each probe phase 1 just made to ``(current method,
+            # prior toucher's method)`` — UNTOUCHED when the probe found no
+            # active point or the prior toucher was never sampled — with
+            # weight ``sample_interval`` so the breakdowns estimate the
+            # true totals.
+            weight = self._obs_interval
             table = self._obs_checks_by_object
-            table[action.obj] = table.get(action.obj, 0) + delta
+            table[action.obj] = table.get(action.obj, 0) + checks * weight
+            pairs = self._obs_checks_by_pair
+            methods = state.point_method
             for pt in points:
-                self._attribute_checks(state, pt, action.method)
+                for candidate in (state.candidates[pt] if plan is not None
+                                  else state.active):
+                    key = (action.method, methods.get(candidate, UNTOUCHED))
+                    pairs[key] = pairs.get(key, 0) + weight
 
         # Phase 2: update auxiliary state.
-        tid = event.tid
         adaptive = self._adaptive
         methods = state.point_method if sampled else None
-        point_clock = state.point_clock
         for pt in points:
             if methods is not None:
                 methods[pt] = action.method
@@ -680,7 +751,7 @@ class CommutativityRaceDetector:
                 else:
                     # Concurrent cross-thread touch — genuine contention:
                     # inflate to the full joined clock.
-                    self.stats.epoch_promotions += 1
+                    stats.epoch_promotions += 1
                     point_clock[pt] = prior.clock.join(clock)
             elif adaptive and prior.leq(clock):
                 # The inflated clock is dominated again: this event's
@@ -692,61 +763,6 @@ class CommutativityRaceDetector:
             self._obs_check_timer.record(perf_counter_ns() - start,
                                          self._obs_interval)
         return found or None
-
-    def _attribute_checks(self, state: _ObjectState, pt: AccessPoint,
-                          method: str) -> None:
-        """Sampled per-(method, method) attribution of phase-1 probes.
-
-        Re-enumerates the candidates the strategy just probed and charges
-        each probe to ``(current method, prior toucher's method)`` —
-        :data:`UNTOUCHED` when the probe found no active point or the
-        prior toucher was never sampled.  Runs only on sampled actions;
-        counts carry weight ``sample_interval`` so the breakdown estimates
-        the true totals.  At ``sample_interval=1`` (the offline default)
-        every action is sampled and the attribution is exact.
-        """
-        pairs = self._obs_checks_by_pair
-        methods = state.point_method
-        weight = self._obs_interval
-        if state.plan is not None:
-            # Compiled path: the cached Co(pt) tuple is exactly what
-            # phase 1 just probed (and it is guaranteed present — phase 1
-            # interned it before attribution runs).
-            candidates = state.candidates[pt]
-        elif state.strategy is Strategy.ENUMERATE:
-            candidates = state.representation.conflicting_candidates(pt)
-        else:
-            candidates = state.active
-        for candidate in candidates:
-            key = (method, methods.get(candidate, UNTOUCHED))
-            pairs[key] = pairs.get(key, 0) + weight
-
-    def _check_enumerate(self, state: _ObjectState, pt: AccessPoint,
-                         event: Event, clock: VectorClock,
-                         found: List[CommutativityRace]) -> None:
-        """Iterate Co(pt), probe active(o) — Θ(|Co(pt)|) per point."""
-        for candidate in state.representation.conflicting_candidates(pt):
-            self.stats.conflict_checks += 1
-            prior_clock = state.point_clock.get(candidate)
-            if prior_clock is None:
-                continue  # candidate not active
-            if not _point_ordered(prior_clock, clock):
-                self._report(state, pt, candidate, _as_clock(prior_clock),
-                             event.action, event.tid, clock, found)
-
-    def _check_scan(self, state: _ObjectState, pt: AccessPoint,
-                    event: Event, clock: VectorClock,
-                    found: List[CommutativityRace]) -> None:
-        """Iterate active(o), test Co membership — Θ(|active(o)|) per point."""
-        rep = state.representation
-        for active_pt in state.active:
-            self.stats.conflict_checks += 1
-            if not rep.conflicts(pt, active_pt):
-                continue
-            prior_clock = state.point_clock[active_pt]
-            if not _point_ordered(prior_clock, clock):
-                self._report(state, pt, active_pt, _as_clock(prior_clock),
-                             event.action, event.tid, clock, found)
 
     def _report(self, state: _ObjectState, pt: AccessPoint,
                 prior_pt: AccessPoint, prior_clock: VectorClock,

@@ -57,8 +57,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .backend import BackendChoice, resolve_backend
 from .checkpoint import (CHECKPOINT_VERSION, Checkpoint, CheckpointConfig,
                          CheckpointWriter, event_fingerprint, load_checkpoint)
-from .detector import CommutativityRaceDetector, DetectorStats, Strategy
-from .plan import compile_check_plan
+from .detector import (CommutativityRaceDetector, DetectorStats, Strategy,
+                       resolve_strategy)
 from .errors import CheckpointError, MonitorError
 from .events import (Action, Event, EventKind, ObjectId,
                      pack_stamped_action, unpack_stamped_action)
@@ -97,19 +97,18 @@ def partition_by_load(loads: Sequence[Tuple[ObjectId, int]],
 
 
 # One shard's inputs: detector knobs plus, per object, the registration
-# (representation, per-object strategy, pre-compiled check plan) and the
-# object's stamped actions.  ``obs_interval`` is None when observability
-# is off; otherwise the worker builds its own registry (sampling at that
-# interval) and ships it back for the merge.  Plans are compiled once in
-# the facade and shipped, not recompiled per shard; pickle memoization
-# dedups the plan's references into the representation riding alongside.
-# ``prune_snaps`` are the phase-A prune boundaries: ``(trace index of the
-# triggering action, live-thread clocks at that moment)`` — what a shard
-# worker needs to prune exactly where (and with exactly the clocks) the
-# sequential detector's ``prune_interval`` counter would.
-_ShardPayload = Tuple[bool, Strategy, bool, Optional[int], bool,
+# (representation, per-object strategy) and the object's stamped actions.
+# ``obs_interval`` is None when observability is off; otherwise the worker
+# builds its own registry (sampling at that interval) and ships it back
+# for the merge.  Each worker compiles its own check plans at
+# registration (O(#schemas) per object).  ``prune_snaps`` are the phase-A
+# prune boundaries: ``(trace index of the triggering action, live-thread
+# clocks at that moment)`` — what a shard worker needs to prune exactly
+# where (and with exactly the clocks) the sequential detector's
+# ``prune_interval`` counter would.
+_ShardPayload = Tuple[bool, Strategy, bool, Optional[int],
                       List[Tuple[int, List[Any]]],
-                      List[Tuple[ObjectId, Any, Optional[Strategy], Any,
+                      List[Tuple[ObjectId, Any, Optional[Strategy],
                                  List[Tuple[Any, ...]]]]]
 
 
@@ -134,20 +133,19 @@ def _analyze_shard(payload: _ShardPayload):
     fan-out's cost for report-dense traces, mirroring why the sequential
     detector grew ``keep_reports=False`` for long benchmark runs.
     """
-    (adaptive, strategy, need_reports, obs_interval, compiled,
-     prune_snaps, objects) = payload
+    (adaptive, strategy, need_reports, obs_interval, prune_snaps,
+     objects) = payload
     obs = None
     if obs_interval is not None:
         from ..obs.registry import Registry
         obs = Registry(sample_interval=obs_interval)
     detector = CommutativityRaceDetector(strategy=strategy, adaptive=adaptive,
-                                         keep_reports=False, obs=obs,
-                                         compiled=compiled)
-    for obj, representation, obj_strategy, plan, _ in objects:
-        detector.register_object(obj, representation, obj_strategy, plan=plan)
+                                         keep_reports=False, obs=obs)
+    for obj, representation, obj_strategy, _ in objects:
+        detector.register_object(obj, representation, obj_strategy)
     triples = _replay_stamped(detector, obs, need_reports, prune_snaps,
                               ((obj, packed_actions)
-                               for obj, _, _, _, packed_actions in objects))
+                               for obj, _, _, packed_actions in objects))
     return triples, detector.stats, obs
 
 
@@ -243,9 +241,9 @@ def _shm_child(worker, index: int, attempt: int, ring_name: str,
         try:
             streams = StampedDecoder(ring).streams()
             head = pickle.loads(head_blob)
-            payload = head[:6] + ([
+            payload = head[:5] + ([
                 registration + (_ring_section(streams, position),)
-                for position, registration in enumerate(head[6])],)
+                for position, registration in enumerate(head[5])],)
             result = worker(index, payload, attempt)
             for _ in streams:
                 pass
@@ -321,10 +319,10 @@ class ShmRounds:
                 obs.add("shard_payload_reuse")
             return cached
         start = perf_counter_ns()
-        objects = payload[6]
-        blob = pickle.dumps(payload[:6] + ([entry[:4] for entry in objects],),
+        objects = payload[5]
+        blob = pickle.dumps(payload[:5] + ([entry[:3] for entry in objects],),
                             protocol=pickle.HIGHEST_PROTOCOL)
-        sections = [entry[4] for entry in objects]
+        sections = [entry[3] for entry in objects]
         if obs is not None:
             obs.add("ipc_bytes_pickled", len(blob))
             obs.timer("ipc_serialize").record(perf_counter_ns() - start)
@@ -462,7 +460,10 @@ class ShardedDetector:
         Thread id of the initial thread.
     strategy / adaptive / keep_reports / on_race:
         As for the sequential detector; ``on_race`` fires during the merge,
-        in stable event-index order.
+        in stable event-index order.  ``register_object`` resolves the
+        strategy up front, so an ENUMERATE request the representation
+        cannot compile fails here as it would sequentially; each shard
+        detector then compiles its own check plans at registration.
     workers:
         Shard count for phase B, one worker process each.  ``None`` uses
         the machine's CPU count; ``0`` or ``1`` runs the shard work inline
@@ -496,10 +497,6 @@ class ShardedDetector:
         same trace and registrations.  A checkpoint that fails any
         validity check is *rejected, not fatal*: the rejection is recorded
         in :attr:`faults` and the run restamps from the beginning.
-    compiled:
-        As for the sequential detector.  Check plans are compiled once at
-        registration in this facade and shipped inside the shard payloads,
-        so workers skip recompilation.
     prune_interval:
         As for the sequential detector: every N actions, reclaim active
         points (and their interned entries) that are ordered before every
@@ -548,7 +545,6 @@ class ShardedDetector:
         supervisor: Optional[SupervisorConfig] = None,
         checkpoint: Optional[CheckpointConfig] = None,
         resume_from: Optional[str] = None,
-        compiled: bool = True,
         prune_interval: int = 0,
         backend: str = "auto",
         ring_slots: Optional[int] = None,
@@ -587,7 +583,6 @@ class ShardedDetector:
         self._supervisor_config = supervisor
         self._checkpoint = checkpoint
         self._resume_from = resume_from
-        self._compiled = compiled
         #: Resolved execution backend for phase B (request, selection,
         #: fallback reason) — resolved eagerly so callers can log the
         #: outcome before the first run.
@@ -595,7 +590,7 @@ class ShardedDetector:
         self._ring_slots = ring_slots or DEFAULT_RING_SLOTS
         self._ring_side_bytes = ring_side_bytes or DEFAULT_SIDE_BYTES
         self._registrations: Dict[
-            ObjectId, Tuple[Any, Optional[Strategy], Any]] = {}
+            ObjectId, Tuple[Any, Optional[Strategy]]] = {}
         self._hb: Optional[HappensBeforeTracker] = None
         self.races: List[CommutativityRace] = []
         self.stats = DetectorStats()
@@ -625,19 +620,10 @@ class ShardedDetector:
                     f"not picklable, so it cannot be shipped to worker "
                     f"processes; use workers<=1 (inline sharding) or the "
                     f"sequential CommutativityRaceDetector") from exc
-        # Compile the ENUMERATE fast path once, here in the facade: every
-        # worker receives the finished plan in its payload instead of
-        # re-deriving it per shard (per-object strategy resolution mirrors
-        # CommutativityRaceDetector.register_object).
-        plan = None
-        if self._compiled:
-            chosen = strategy or self._strategy
-            if chosen is Strategy.AUTO:
-                chosen = (Strategy.ENUMERATE if representation.bounded
-                          else Strategy.SCAN)
-            if chosen is Strategy.ENUMERATE:
-                plan = compile_check_plan(representation)
-        self._registrations[obj] = (representation, strategy, plan)
+        # Reject a strategy the representation cannot run here, not inside
+        # a shard worker; each worker compiles its own plan.
+        resolve_strategy(obj, representation, strategy or self._strategy)
+        self._registrations[obj] = (representation, strategy)
 
     def release_object(self, obj: ObjectId) -> None:
         """Drop a registration before analysis (mirrors the sequential API)."""
@@ -846,8 +832,7 @@ class ShardedDetector:
             objects = [(obj,) + self._registrations[obj] + (groups[obj],)
                        for obj in shard_objs]
             payloads.append((self._adaptive, self._strategy, need_reports,
-                             obs_interval, self._compiled,
-                             self._prune_snaps, objects))
+                             obs_interval, self._prune_snaps, objects))
         return payloads
 
     def _fan_out(self, groups: Dict[ObjectId, List[Tuple[Any, ...]]]):

@@ -1,32 +1,34 @@
-"""Compiled per-object check plans — the detector's ENUMERATE fast path.
+"""Compiled per-object check plans — how the detector runs ENUMERATE.
 
 Algorithm 1's per-action work against a :class:`~repro.core.access_points.
 SchemaRepresentation` repeatedly asks the representation questions whose
 answers never change after registration: which schemas carry values, which
 schemas conflict with which (and in what enumeration order), and what ηo
-is.  The generic path answers them through ``points_of`` (re-validating
-every ``(schema, value)`` pair per action) and the ``conflicting_candidates``
-generator (re-instantiating ``Co(pt)`` per probe).
+is.  Asking them through ``points_of`` (re-validating every
+``(schema, value)`` pair per action) and the ``conflicting_candidates``
+generator (re-instantiating ``Co(pt)`` per probe) would pay that cost on
+every action.
 
 A :class:`CheckPlan` is those answers flattened at ``register_object`` time
 into one plain dict of plain tuples::
 
     table[schema] = (carries_value, (peer_schema, ...))
 
-so the compiled loop (:func:`_process_compiled`) runs with no
-representation dispatch, no ``Strategy`` branch and no per-action
-validation — ηo output validation moves to the intern-table miss path,
-which fires once per distinct ``(schema, value)`` pair instead of once per
-action.  The peer tuples preserve the conflict *declaration* order, which
-is exactly the order ``conflicting_candidates`` yields; race-report
-identity across processes depends on it.
+Every ENUMERATE object has one — a plan exists exactly when the object
+runs ENUMERATE — and the detector's one check loop
+(:meth:`~repro.core.detector.CommutativityRaceDetector._process_action`)
+runs ENUMERATE through it with no representation dispatch and no
+per-action validation: ηo output validation happens on the intern-table
+miss path (:func:`_intern_point`), which fires once per distinct
+``(schema, value)`` pair instead of once per action.  The peer tuples
+preserve the conflict *declaration* order, which is exactly the order
+``conflicting_candidates`` yields; race-report identity across processes
+depends on it.
 
-Plans are picklable (a callable plus a dict of tuples), so the sharded
-analyzer compiles once in the facade and ships the plan to every worker
-instead of recompiling per shard.  Under the shared-memory backend
-(:mod:`repro.core.shmem`) the plan travels exactly once per worker, in
-the pickled *init blob* that configures the shard process; the per-action
-stream that follows it through the ring is plan-free fixed-width records.
+Plans are picklable (a callable plus a dict of tuples), so a tenant
+checkpoint can pickle the whole analyzer; they are not shipped to shard
+workers, each of which compiles its own at registration for O(#schemas)
+per object.
 
 Epoch-adaptive point clocks
 ---------------------------
@@ -52,9 +54,8 @@ deflate_point_clocks` — re-establishes one.
 
 from __future__ import annotations
 
-from time import perf_counter_ns
-from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
-                    Optional, Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, NamedTuple, Optional,
+                    Tuple, Union)
 
 from .access_points import (AccessPoint, AccessPointRepresentation, SchemaId,
                             SchemaRepresentation)
@@ -103,13 +104,11 @@ class CheckPlan:
 
 def compile_check_plan(
         representation: AccessPointRepresentation) -> Optional[CheckPlan]:
-    """Compile ``representation`` for the ENUMERATE fast path, if possible.
+    """Compile ``representation`` for the ENUMERATE strategy, if possible.
 
     Returns ``None`` when the representation is not a bounded
     :class:`SchemaRepresentation` — custom ``AccessPointRepresentation``
-    subclasses and unbounded (SCAN-only) representations keep the generic
-    interpreted path, whose semantics the compiled loop must match
-    verdict-for-verdict anyway.
+    subclasses and unbounded representations run SCAN.
     """
     if not isinstance(representation, SchemaRepresentation):
         return None
@@ -170,7 +169,7 @@ def _as_clock(prior: _PointClock) -> VectorClock:
     return prior.clock if type(prior) is _PointEpoch else prior
 
 
-# -- the compiled per-event loop ----------------------------------------------
+# -- interning: the ENUMERATE loop's canonical points --------------------------
 
 
 def _intern_point(state, action: Action,
@@ -179,7 +178,7 @@ def _intern_point(state, action: Action,
 
     Raises the same :class:`SpecificationError`s ``points_of`` would —
     invalid pairs never enter the table, so they take this path (and
-    fail) on every action, matching the generic behavior.
+    fail) on every action, as ``points_of`` would.
     """
     entry = state.plan.table.get(schema)
     if entry is None:
@@ -224,108 +223,3 @@ def _intern_candidates(state, pt: AccessPoint) -> Tuple[AccessPoint, ...]:
     tup = tuple(cands)
     state.candidates[pt] = tup
     return tup
-
-
-def _process_compiled(det, state, action: Action, tid: Tid,
-                      clock: VectorClock):
-    """Algorithm 1 over a compiled :class:`CheckPlan`.
-
-    Semantically identical to the detector's generic ENUMERATE path —
-    same verdicts in the same order, same counters, same sampled
-    attribution — but runs a closed loop over interned points and
-    cached candidate tuples: no ``points_of`` validation (moved to the
-    intern miss), no representation dispatch, no candidate generator.
-    """
-    interned = state.interned
-    stats = det.stats
-    # ηo: resolve each (schema, value) pair to its canonical point.
-    # The full list is built before phase 1 so an invalid pair raises
-    # before any state changes, exactly like points_of would.
-    touched: List[AccessPoint] = []
-    append = touched.append
-    for schema, value in state.plan.touches(action):
-        pt = interned.get((schema, value))
-        if pt is None:
-            pt = _intern_point(state, action, schema, value)
-        append(pt)
-    stats.points_touched += len(touched)
-    if det._predict_log is not None:
-        # Predict mode: stash the resolved tuple so the predictive refeed
-        # reuses it instead of re-evaluating ηo (process() files it under
-        # the event's log position).
-        det._predict_last = tuple(touched)
-
-    sampled = det._obs is not None and det._obs_sampled
-    if sampled:
-        start = perf_counter_ns()
-
-    # Phase 1: check for commutativity races.
-    found = []
-    checks = 0
-    point_clock = state.point_clock
-    candidate_map = state.candidates
-    for pt in touched:
-        cands = candidate_map.get(pt)
-        if cands is None:
-            cands = _intern_candidates(state, pt)
-        checks += len(cands)
-        for candidate in cands:
-            prior_clock = point_clock.get(candidate)
-            if prior_clock is None:
-                continue  # candidate not active
-            if type(prior_clock) is _PointEpoch:
-                if prior_clock.stamp <= clock[prior_clock.tid]:
-                    continue
-                prior = prior_clock.clock
-            elif prior_clock.leq(clock):
-                continue
-            else:
-                prior = prior_clock
-            det._report(state, pt, candidate, prior, action, tid, clock,
-                        found)
-    stats.conflict_checks += checks
-
-    if sampled:
-        delta = checks * det._obs_interval
-        table = det._obs_checks_by_object
-        table[action.obj] = table.get(action.obj, 0) + delta
-        for pt in touched:
-            det._attribute_checks(state, pt, action.method)
-
-    # Phase 2: update auxiliary state.
-    adaptive = det._adaptive
-    methods = state.point_method if sampled else None
-    active = state.active
-    for pt in touched:
-        if methods is not None:
-            methods[pt] = action.method
-        prior_clock = point_clock.get(pt)
-        if prior_clock is None:
-            if adaptive:
-                point_clock[pt] = _PointEpoch(tid, clock[tid], clock)
-            else:
-                point_clock[pt] = clock
-            active[pt] = None
-        elif type(prior_clock) is _PointEpoch:
-            if (prior_clock.tid == tid
-                    or prior_clock.stamp <= clock[prior_clock.tid]):
-                # Ordered before this event (same thread, or the epoch
-                # certificate holds): the join *is* this event's clock,
-                # and the event clock is its own O(1) certificate.
-                point_clock[pt] = _PointEpoch(tid, clock[tid], clock)
-            else:
-                # Genuine contention — concurrent cross-thread touch, no
-                # single-component certificate exists: inflate.
-                stats.epoch_promotions += 1
-                point_clock[pt] = prior_clock.clock.join(clock)
-        elif adaptive and prior_clock.leq(clock):
-            # The inflated clock is dominated again: this event's clock
-            # subsumes it, so the point deflates right back to an epoch.
-            point_clock[pt] = _PointEpoch(tid, clock[tid], clock)
-        else:
-            point_clock[pt] = prior_clock.join(clock)
-    if sampled:
-        det._obs_check_timer.record(perf_counter_ns() - start,
-                                    det._obs_interval)
-    return found or None
-

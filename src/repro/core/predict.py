@@ -147,16 +147,16 @@ class Predictor:
         if window < 1:
             raise ValueError(f"predict window must be >= 1, got {window}")
         self._reps = dict(representations)
-        # Optional compiled-path states (``_ObjectState`` with a
+        # Optional ENUMERATE states (``_ObjectState`` with a
         # ``CheckPlan``): lets the feed resolve ηo through the detector's
         # interned canonical points instead of re-evaluating the
         # representation formulas per action.  Points come out equal
-        # either way — this is purely the compiled fast path shared.
+        # either way — this only shares the detector's intern tables.
         self._plan_states = dict(plan_states) if plan_states else {}
         # Points the detector already resolved during its own pass, keyed
         # by feed position (``CommutativityRaceDetector`` captures them
         # alongside its predict log).  A hit skips ηo entirely; misses
-        # (batch path, plan-less objects, sharded refeeds) recompute.
+        # (sharded refeeds) recompute.
         self._captured: Dict[int, Tuple[Any, ...]] = (
             captured_points if captured_points is not None else {})
         self._window = window
@@ -294,7 +294,7 @@ class Predictor:
             except TypeError:      # unhashable point value: no memoization
                 pid = None
         else:
-            # Compiled objects resolve conflicts through the plan's
+            # ENUMERATE objects resolve conflicts through the plan's
             # candidate map below — no verdict cache needed.
             pid = None
         prior = self._obj_actions.setdefault(action.obj, [])
@@ -311,7 +311,7 @@ class Predictor:
         clocks = self._clocks
         single = points[0] if len(points) == 1 else None
         if state is not None:
-            # Compiled fast path: points are canonical interned instances
+            # ENUMERATE objects: points are canonical interned instances
             # and ``Co(pt)`` is the plan's cached candidate tuple, so the
             # conflict test is tuple membership riding the identity
             # shortcut — no formula evaluation, no hashing.

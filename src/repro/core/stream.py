@@ -10,8 +10,8 @@ footprint — what can still race — instead of the history:
 * **Pruning + eviction** (every ``prune_interval`` actions, inside the
   detector): active points ordered before every live thread go, and so do
   their intern-table entries and candidate tuples — the Section 5.3
-  "remove unnecessary active access points" bound, restored for the
-  compiled hot path.
+  "remove unnecessary active access points" bound, extended to the
+  ENUMERATE check plans' intern tables.
 * **Thread retirement** (every ``window`` events): joined threads' clocks
   leave the happens-before tables; the thread table tracks the live set,
   not the fork total.
@@ -73,6 +73,10 @@ class StreamAnalyzer:
     ``prune_interval=k`` reports byte-identically to a batch detector
     constructed with the same ``prune_interval=k`` — and pruning itself
     is verdict-preserving, so also to a batch run without pruning.
+    The detector knobs (``strategy``, ``adaptive``, ``obs``,
+    ``predict_window``) pass straight through; ENUMERATE objects run
+    their check plan, so the analyzer has no execution-path knob of its
+    own.
 
     ``peak_active`` / ``peak_interned`` record the high-water marks seen
     at maintenance boundaries — the quantities the streaming memory gate
@@ -90,7 +94,6 @@ class StreamAnalyzer:
         adaptive: bool = True,
         compact_clocks: bool = False,
         obs=None,
-        compiled: bool = True,
         on_window: Optional[Callable[["StreamAnalyzer"], None]] = None,
         predict_window: int = 0,
     ):
@@ -99,8 +102,7 @@ class StreamAnalyzer:
         self._detector = CommutativityRaceDetector(
             root=root, strategy=strategy, on_race=on_race,
             keep_reports=keep_reports, prune_interval=prune_interval,
-            adaptive=adaptive, obs=obs, compiled=compiled,
-            predict_window=predict_window)
+            adaptive=adaptive, obs=obs, predict_window=predict_window)
         self._predict = bool(predict_window)
         self._window = window
         self._compact_clocks = compact_clocks

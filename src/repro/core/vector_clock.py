@@ -465,14 +465,6 @@ class MutableVectorClock:
         stepped._hash = None
         return stepped
 
-    def freeze_copy(self) -> VectorClock:
-        """Always-copying freeze (the pre-CoW behavior).
-
-        Kept for the hot-path benchmark's seed baseline and for callers
-        that explicitly want an independent plain snapshot.
-        """
-        return VectorClock._trusted(dict(self._entries))
-
     def copy(self) -> "MutableVectorClock":
         dup = MutableVectorClock.__new__(MutableVectorClock)
         dup._entries = dict(self._entries)

@@ -43,9 +43,11 @@ TENANT_MAGIC = b"repro-tenant-checkpoint\n"
 # Version 2 added ``declared_events``: a resumed tenant whose reconnect
 # hello omits the declared count (killed writer, headerless re-stream)
 # adopts the checkpointed one, so completion detection survives resume.
-# Version-1 files fail the version guard below and degrade to a fresh
-# analysis — safe, the documented skew behavior.
-TENANT_CHECKPOINT_VERSION = 2
+# Version 3: the pickled analyzer's layout changed — the detector lost
+# its ``_compiled`` attribute, and every ENUMERATE object's state now
+# carries a check plan.  Older files fail the version guard below and
+# degrade to a fresh analysis — safe, the documented skew behavior.
+TENANT_CHECKPOINT_VERSION = 3
 
 _SLUG_BAD = re.compile(r"[^A-Za-z0-9._-]")
 

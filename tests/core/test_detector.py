@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.core.access_points import NaiveRepresentation
+from repro.core.access_points import (AccessPoint, AccessPointRepresentation,
+                                      NaiveRepresentation)
 from repro.core.detector import (CommutativityRaceDetector, DetectorStats,
                                  Strategy)
 from repro.core.errors import MonitorError
 from repro.core.events import NIL, Action
+from repro.core.parallel import ShardedDetector
 from repro.core.trace import TraceBuilder
 from repro.logic.translate import translate
 from repro.specs.dictionary import dictionary_representation, dictionary_spec
@@ -21,6 +23,28 @@ def race_trace():
             .join_all(0, [1, 2])
             .invoke(0, "o", "size", returns=1)
             .build())
+
+
+class BoundedKeyRepresentation(AccessPointRepresentation):
+    """A bounded representation outside the schema factoring: every action
+    touches one point per key argument, same-key points conflict, and
+    ``Co(pt)`` is enumerable — but no check plan compiles from it."""
+
+    kind = "keyed"
+
+    def points_of(self, action):
+        return tuple(AccessPoint(action.obj, "k", key)
+                     for key in action.args[:1])
+
+    def conflicts(self, pt1, pt2):
+        return pt1.obj == pt2.obj and pt1.value == pt2.value
+
+    @property
+    def bounded(self):
+        return True
+
+    def conflicting_candidates(self, pt):
+        yield AccessPoint(pt.obj, "k", pt.value)
 
 
 def detector(strategy=Strategy.AUTO, **kwargs):
@@ -128,6 +152,32 @@ class TestStrategies:
         with pytest.raises(MonitorError):
             det.register_object("o", NaiveRepresentation(
                 "dictionary", dictionary_spec().commutes))
+
+    def test_enumerate_requires_a_check_plan(self):
+        # ENUMERATE runs only through a check plan: a bounded
+        # representation that cannot compile one is rejected at
+        # registration, AUTO resolves it to SCAN, and the sharded facade
+        # agrees on both.
+        rep = BoundedKeyRepresentation()
+        for factory in (CommutativityRaceDetector, ShardedDetector):
+            explicit = factory(root=0, strategy=Strategy.ENUMERATE)
+            with pytest.raises(MonitorError, match="check plan"):
+                explicit.register_object("o", rep)
+            per_object = factory(root=0)
+            with pytest.raises(MonitorError, match="check plan"):
+                per_object.register_object("o", rep, Strategy.ENUMERATE)
+        auto = CommutativityRaceDetector(root=0)
+        auto.register_object("o", rep)
+        state = auto._objects["o"]
+        assert state.strategy is Strategy.SCAN and state.plan is None
+        sharded = ShardedDetector(root=0, workers=1)
+        sharded.register_object("o", rep)
+        trace = race_trace()
+        auto.run(trace)
+        sharded.run(trace)
+        assert len(auto.races) == 1
+        assert sharded.races == auto.races
+        assert sharded.stats == auto.stats
 
     def test_scan_and_enumerate_agree_on_races(self):
         trace = race_trace()

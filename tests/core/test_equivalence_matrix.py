@@ -17,16 +17,13 @@ Comparison granularity differs deliberately:
   reports, same clocks, same order.  (Before clock-carrying epochs this
   suite had to fall back to verdict keys; the stronger identity is the
   point of the representation.)
-* the compiled hot path (check plans + interned access points) is a pure
-  execution strategy: it enumerates the same candidates in the same
-  order as representation dispatch, so compiled-vs-uncompiled is the
-  *strictest* comparison — reports equal in content **and order**, stats
-  equal counter for counter.
 
 The full-matrix test closes the loop: every configuration on the
-compiled × adaptive × (sequential|sharded) axes — 8 configurations —
-must report **byte-identically** to the one reference everything is
-defined against, the sequential uncompiled plain detector.
+adaptive × (sequential|sharded) axes — 4 configurations — must report
+**byte-identically** to the one reference everything is defined
+against, the sequential plain (``adaptive=False``) detector.  ENUMERATE
+always runs its check plan, so there is no execution-path axis; SCAN,
+an independent phase 1, is the cross-check on the ENUMERATE loop.
 """
 
 import os
@@ -107,36 +104,6 @@ class TestAdaptiveEquivalence:
 @pytest.mark.parametrize("factory", [CommutativityRaceDetector,
                                      ShardedDetector],
                          ids=["sequential", "sharded"])
-class TestCompiledEquivalence:
-    def test_compiled_vs_uncompiled_identical(self, factory):
-        """The strict identity: same reports in the same order, same stats."""
-        for trace, bindings in corpus():
-            compiled = run_detector(trace, bindings, factory)
-            dispatch = run_detector(trace, bindings, factory, compiled=False)
-            assert compiled.races == dispatch.races
-            assert compiled.stats == dispatch.stats
-
-    def test_compiled_composes_with_adaptive_and_scan(self, factory):
-        # The plan axis must be invisible whatever it is combined with:
-        # under SCAN no plan compiles (the flag is a no-op), under
-        # adaptive the epoch bookkeeping rides the compiled loop.
-        for trace, bindings in corpus():
-            for adaptive in (False, True):
-                for strategy in (Strategy.ENUMERATE, Strategy.SCAN):
-                    compiled = run_detector(trace, bindings, factory,
-                                            adaptive=adaptive,
-                                            strategy=strategy)
-                    dispatch = run_detector(trace, bindings, factory,
-                                            adaptive=adaptive,
-                                            strategy=strategy,
-                                            compiled=False)
-                    assert compiled.races == dispatch.races
-                    assert compiled.stats == dispatch.stats
-
-
-@pytest.mark.parametrize("factory", [CommutativityRaceDetector,
-                                     ShardedDetector],
-                         ids=["sequential", "sharded"])
 class TestPruneEquivalence:
     def test_pruning_byte_identical_to_reference(self, factory):
         # Reclaimed points can never race again, so pruning every few
@@ -144,7 +111,7 @@ class TestPruneEquivalence:
         for trace, bindings in corpus():
             reference = run_detector(trace, bindings,
                                      CommutativityRaceDetector,
-                                     compiled=False, adaptive=False)
+                                     adaptive=False)
             pruned = run_detector(trace, bindings, factory,
                                   prune_interval=3)
             assert ([race_snapshot(r) for r in pruned.races]
@@ -206,43 +173,39 @@ class TestPredictiveEquivalence:
 
 
 class TestFullMatrix:
-    def test_all_eight_configurations_byte_identical(self):
-        """compiled × adaptive × (sequential|sharded).
+    def test_all_four_configurations_byte_identical(self):
+        """adaptive × (sequential|sharded).
 
-        Every one of the 8 configurations must report byte-identically
+        Every one of the 4 configurations must report byte-identically
         (clocks included, order included) to the reference everything is
-        specified against: the sequential uncompiled plain detector.
+        specified against: the sequential plain detector.
         """
         for trace, bindings in corpus():
             reference = run_detector(trace, bindings,
                                      CommutativityRaceDetector,
-                                     compiled=False, adaptive=False)
+                                     adaptive=False)
             want = [race_snapshot(r) for r in reference.races]
             for factory in (CommutativityRaceDetector, ShardedDetector):
-                for compiled in (False, True):
-                    for adaptive in (False, True):
-                        det = run_detector(trace, bindings, factory,
-                                           compiled=compiled,
-                                           adaptive=adaptive)
-                        got = [race_snapshot(r) for r in det.races]
-                        assert got == want, (
-                            f"{factory.__name__} compiled={compiled} "
-                            f"adaptive={adaptive}")
+                for adaptive in (False, True):
+                    det = run_detector(trace, bindings, factory,
+                                       adaptive=adaptive)
+                    got = [race_snapshot(r) for r in det.races]
+                    assert got == want, (
+                        f"{factory.__name__} adaptive={adaptive}")
 
     def test_scan_matrix_agrees_on_verdicts(self):
-        """The SCAN strategy reorders reports, so its matrix leg is
-        compared on verdict keys (the old 16-config identity)."""
+        """The SCAN strategy reorders reports, so its matrix leg —
+        adaptive × (sequential|sharded) × strategy, 8 configurations — is
+        compared on verdict keys."""
         for trace, bindings in corpus():
             verdicts = set()
             for factory in (CommutativityRaceDetector, ShardedDetector):
-                for compiled in (False, True):
-                    for adaptive in (False, True):
-                        for strategy in (Strategy.ENUMERATE, Strategy.SCAN):
-                            det = run_detector(trace, bindings, factory,
-                                               compiled=compiled,
-                                               adaptive=adaptive,
-                                               strategy=strategy)
-                            verdicts.add(tuple(verdict_keys(det.races)))
+                for adaptive in (False, True):
+                    for strategy in (Strategy.ENUMERATE, Strategy.SCAN):
+                        det = run_detector(trace, bindings, factory,
+                                           adaptive=adaptive,
+                                           strategy=strategy)
+                        verdicts.add(tuple(verdict_keys(det.races)))
             assert len(verdicts) == 1
 
 
@@ -266,8 +229,8 @@ class TestBackendEquivalence:
 
     Worker processes fed through shared-memory rings replay the same
     stamped actions through the same shard function as in-process
-    replay, so reports must match the sequential uncompiled plain
-    reference exactly: same races, same clocks, same order.
+    replay, so reports must match the sequential plain reference
+    exactly: same races, same clocks, same order.
     """
 
     def test_byte_identical_to_sequential_reference(self, backend):
@@ -276,7 +239,7 @@ class TestBackendEquivalence:
             trace, bindings = build_multi_object_trace(program)
             reference = run_detector(trace, bindings,
                                      CommutativityRaceDetector,
-                                     compiled=False, adaptive=False)
+                                     adaptive=False)
             det = run_detector(trace, bindings, ShardedDetector,
                                workers=2, backend=backend)
             assert det.backend.selected == backend, det.backend
@@ -303,7 +266,7 @@ class TestBackendEquivalence:
             trace, bindings = build_multi_object_trace(program)
             reference = run_detector(trace, bindings,
                                      CommutativityRaceDetector,
-                                     compiled=False, adaptive=False)
+                                     adaptive=False)
             det = run_detector(trace, bindings, ShardedDetector,
                                workers=2, backend=backend, adaptive=True,
                                prune_interval=7)

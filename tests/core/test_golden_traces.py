@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from repro.core.detector import CommutativityRaceDetector
+from repro.core.detector import CommutativityRaceDetector, Strategy
 from repro.core.parallel import ShardedDetector
 from repro.core.serialize import load_trace
 from repro.specs import bundled_objects
@@ -64,34 +64,41 @@ def test_sharded_detector_matches_snapshot(name, workers):
         == expected["races"]
 
 
-# -- fast-path axes (PR 4): same frozen snapshots, never regenerated ---------
+# -- strategy and clock axes: same frozen snapshots, never regenerated -------
 #
-# The default sequential/sharded tests above already run the compiled hot
-# path (``compiled=True`` is the default), so the corpus pins it byte for
-# byte.  These variants pin the remaining axes against the *same* disk
-# snapshots: the seed dispatch path, the compiled flag through the process
-# pool, and adaptive mode (clock-insensitive verdict keys, per the
-# equivalence-matrix conventions).
+# The default sequential/sharded tests above already run ENUMERATE through
+# its check plan, so the corpus pins the one check loop byte for byte.
+# These variants pin the remaining axes against the *same* disk snapshots:
+# SCAN, an independent phase 1 whose probe order differs (so its reports
+# are compared sorted, clocks included), and plain vector clocks through
+# the sharded pipeline.
+
+def sorted_snapshots(snapshots):
+    return sorted(tuple(sorted(snapshot.items())) for snapshot in snapshots)
+
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_seed_path_matches_snapshot(name):
+def test_scan_axis_matches_sorted_snapshot(name):
     trace, expected = load_case(name)
     registry = bundled_objects()
-    detector = CommutativityRaceDetector(root=trace.root, compiled=False)
-    for obj, kind in expected["bindings"].items():
-        detector.register_object(obj, registry[kind].representation())
-    detector.run(trace)
-    assert [race_snapshot(race) for race in detector.races] \
-        == expected["races"]
+    want = sorted_snapshots(expected["races"])
+    for detector in (
+            CommutativityRaceDetector(root=trace.root, strategy=Strategy.SCAN),
+            ShardedDetector(root=trace.root, workers=2,
+                            strategy=Strategy.SCAN)):
+        for obj, kind in expected["bindings"].items():
+            detector.register_object(obj, registry[kind].representation())
+        detector.run(trace)
+        assert sorted_snapshots(race_snapshot(race)
+                                for race in detector.races) == want
+        assert detector.stats.races == len(expected["races"])
 
 
-@pytest.mark.parametrize("compiled", [False, True],
-                         ids=["dispatch", "compiled"])
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_sharded_compiled_axis_matches_snapshot(name, compiled):
+def test_sharded_plain_clock_axis_matches_snapshot(name):
     trace, expected = load_case(name)
     registry = bundled_objects()
-    detector = ShardedDetector(root=trace.root, workers=2, compiled=compiled)
+    detector = ShardedDetector(root=trace.root, workers=2, adaptive=False)
     for obj, kind in expected["bindings"].items():
         detector.register_object(obj, registry[kind].representation())
     detector.run(trace)
@@ -137,17 +144,14 @@ def test_compact_clocks_axis_matches_snapshot_verdicts(name):
         for race in expected["races"])
 
 
-@pytest.mark.parametrize("compiled", [False, True],
-                         ids=["dispatch", "compiled"])
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_plain_clock_axis_matches_snapshot(name, compiled):
+def test_plain_clock_axis_matches_snapshot(name):
     # adaptive=True is the default (and covered byte-for-byte by every
     # test above); this pins the opt-out full-vector-clock path against
     # the same frozen snapshots.
     trace, expected = load_case(name)
     registry = bundled_objects()
-    detector = CommutativityRaceDetector(root=trace.root, adaptive=False,
-                                         compiled=compiled)
+    detector = CommutativityRaceDetector(root=trace.root, adaptive=False)
     for obj, kind in expected["bindings"].items():
         detector.register_object(obj, registry[kind].representation())
     detector.run(trace)

@@ -4,7 +4,7 @@ The plan is a flattening of a bounded :class:`SchemaRepresentation` — no
 new semantics — so every test here is an identity against the
 representation it was compiled from: same schemas, same value flags, same
 candidate enumeration order, same validation errors.  The verdict-level
-equivalence of the compiled detector loop lives in
+equivalence of the ENUMERATE loop lives in
 ``test_equivalence_matrix.py`` and the golden corpus.
 """
 
@@ -98,26 +98,19 @@ class TestCompilation:
 
 
 class TestPlanAttachment:
-    def test_strategy_and_flag_gate_the_plan(self):
+    def test_strategy_gates_the_plan(self):
+        # A plan exists exactly when the object runs ENUMERATE.
         rep = dictionary_representation()
         detector = CommutativityRaceDetector(root=0)
         detector.register_object("a", rep)
         detector.register_object("b", rep, strategy=Strategy.SCAN)
-        assert detector._objects["a"].plan is not None
-        assert detector._objects["b"].plan is None
-
-        off = CommutativityRaceDetector(root=0, compiled=False)
-        off.register_object("a", rep)
-        assert off._objects["a"].plan is None
-
-    def test_precompiled_plan_is_injected_verbatim(self):
-        # The sharded facade compiles once and passes the plan through
-        # register_object(plan=...) inside each worker.
-        rep = dictionary_representation()
-        plan = compile_check_plan(rep)
-        detector = CommutativityRaceDetector(root=0, compiled=False)
-        detector.register_object("a", rep, plan=plan)
-        assert detector._objects["a"].plan is plan
+        detector.register_object("c", rep, strategy=Strategy.ENUMERATE)
+        detector.register_object("d", _Opaque())
+        for obj, state in detector._objects.items():
+            assert (state.plan is not None) \
+                == (state.strategy is Strategy.ENUMERATE), obj
+        assert [obj for obj, state in detector._objects.items()
+                if state.plan is not None] == ["a", "c"]
 
 
 class TestInterning:
@@ -136,7 +129,7 @@ class TestInterning:
         detector.register_object("d", dictionary_representation())
         state = self._run(detector)
         assert state.plan is not None
-        assert state.interned  # the compiled path actually ran
+        assert state.interned  # the plan loop actually ran
         for (schema, value), pt in state.interned.items():
             assert (pt.obj, pt.schema, pt.value) == ("d", schema, value)
         # candidate tuples are built from the same canonical instances,
@@ -147,21 +140,19 @@ class TestInterning:
 
     def test_compiled_validation_errors_match_points_of(self):
         rep = toy_representation()
+        assert rep.bounded  # sanity: the detector takes the ENUMERATE route
         for method in ("bad-schema", "missing-value", "value-on-plain"):
             builder = TraceBuilder(root=0)
             builder.fork(0, 1)
             builder.invoke(1, "o", method, returns=None)
             trace = builder.build()
-            messages = []
-            for compiled in (True, False):
-                detector = CommutativityRaceDetector(root=0,
-                                                     compiled=compiled)
-                detector.register_object("o", toy_representation())
-                with pytest.raises(SpecificationError) as err:
-                    detector.run(trace)
-                messages.append(str(err.value))
-            assert messages[0] == messages[1]
-        assert rep.bounded  # sanity: both paths took the ENUMERATE route
+            with pytest.raises(SpecificationError) as want:
+                rep.points_of(trace.actions()[0].action)
+            detector = CommutativityRaceDetector(root=0)
+            detector.register_object("o", toy_representation())
+            with pytest.raises(SpecificationError) as got:
+                detector.run(trace)
+            assert str(got.value) == str(want.value)
 
     def test_invalid_pairs_raise_on_every_action(self):
         # Validation moved to the intern miss path; an invalid pair must

@@ -7,8 +7,8 @@ def actions(index, payload, attempt):
     The actions are lists in-process and ring sections in a worker
     process; either way the result is the same plain data.
     """
-    return (index, [(entry[0], [packed[:5] for packed in entry[4]])
-                    for entry in payload[6]])
+    return (index, [(entry[0], [packed[:5] for packed in entry[3]])
+                    for entry in payload[5]])
 
 
 def boom(index, payload, attempt):

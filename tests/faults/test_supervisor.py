@@ -291,9 +291,9 @@ def test_unpicklable_task_degrades_without_retry():
     # A payload that cannot pickle can never reach a worker process; the
     # supervisor must complete it via the inline fallback, no retries.
     payloads = shard_payloads()
-    obj, _, strategy, plan, packed = payloads[1][6][0]
-    payloads[1] = payloads[1][:6] + (
-        [(obj, lambda: None, strategy, plan, packed)],)  # lambdas cannot pickle
+    obj, _, strategy, packed = payloads[1][5][0]
+    payloads[1] = payloads[1][:5] + (
+        [(obj, lambda: None, strategy, packed)],)  # lambdas cannot pickle
     sup = supervisor()
     assert sup.run(payloads) == expected(payloads)
     assert sup.faults.count(kind="task-unpicklable") == 1

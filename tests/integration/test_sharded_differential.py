@@ -85,50 +85,6 @@ class TestDifferentialCorpus:
             assert_identical(sequential, sharded)
 
 
-class TestCompiledDifferential:
-    """The compiled hot path vs. the seed path, report for report.
-
-    ``compiled=True`` (check plans + interned points) is the default; the
-    seed path (``compiled=False``) keeps the per-action representation
-    dispatch.  Both must produce identical reports *and* identical stats —
-    including across the process pool, where plans travel pickled.
-    """
-
-    def test_compiled_vs_seed_sequential_across_seeds(self):
-        nonempty = 0
-        for seed in range(60):
-            program = random_multi_object_program(seed)
-            trace, bindings = build_multi_object_trace(program)
-            compiled = register_bindings(
-                CommutativityRaceDetector(root=0), bindings)
-            dispatch = register_bindings(
-                CommutativityRaceDetector(root=0, compiled=False), bindings)
-            compiled.run(trace)
-            dispatch.run(trace)
-            assert compiled.races == dispatch.races
-            assert compiled.stats == dispatch.stats
-            nonempty += bool(compiled.races)
-        assert nonempty >= 10
-
-    @pytest.mark.parametrize("seed", [3, 17, 41])
-    def test_compiled_process_pool(self, seed):
-        """Plans pickled into real workers match the uncompiled sequential."""
-        program = random_multi_object_program(seed, max_ops=60)
-        trace, bindings = build_multi_object_trace(program)
-        sequential, sharded = run_pair(
-            trace, bindings, workers=2, seq_kw={"compiled": False})
-        assert_identical(sequential, sharded)
-
-    def test_uncompiled_sharding_matches_compiled_sequential(self):
-        """The mixed pairing the matrix suite doesn't cover directly."""
-        for seed in range(20):
-            program = random_multi_object_program(seed)
-            trace, bindings = build_multi_object_trace(program)
-            sequential, sharded = run_pair(
-                trace, bindings, workers=1, shard_kw={"compiled": False})
-            assert_identical(sequential, sharded)
-
-
 class TestMergedCountersAgree:
     """Satellite: sharded stats must merge, not drop, shard counters."""
 

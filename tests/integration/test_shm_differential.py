@@ -37,7 +37,7 @@ START_METHODS = [
 
 def reference_snapshots(trace, bindings):
     detector = register_bindings(
-        CommutativityRaceDetector(root=0, compiled=False, adaptive=False),
+        CommutativityRaceDetector(root=0, adaptive=False),
         bindings)
     detector.run(trace)
     return [race_snapshot(race) for race in detector.races]

@@ -4,7 +4,7 @@ The resume design under test: a reconnecting tenant re-streams its trace
 from event zero, the server fast-forwards through the checkpointed
 prefix while recomputing the fingerprint digest, and only a digest match
 lets the checkpointed analyzer continue — any defect (edited trace,
-corrupt file, version skew) degrades to a fresh analysis, never a wrong
+corrupt file, version skew such as a version-2 file) degrades to a fresh analysis, never a wrong
 one.  The kill -9 test is the satellite-3 acceptance: two tenants
 writing *concurrently* into one shared checkpoint directory, both
 clients SIGKILLed mid-stream, both resumed byte-identically — under
@@ -14,14 +14,20 @@ selects.
 
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 
 import pytest
 
+from repro.core.checkpoint import read_sealed_payload
+from repro.core.errors import CheckpointError
 from repro.service import ControlClient, ServiceClient, SessionConfig
 from repro.service.chaos import offline_race_lines
-from repro.service.checkpoints import tenant_checkpoint_path
+from repro.service.checkpoints import (TENANT_CHECKPOINT_VERSION,
+                                       TENANT_MAGIC, load_tenant_checkpoint,
+                                       save_tenant_checkpoint,
+                                       tenant_checkpoint_path)
 from repro.testing.workloads import tenant_trace_text
 
 RACY_SEED = 18          # single dictionary, 133 events, many races
@@ -113,6 +119,38 @@ class TestFastForwardResume:
         blob = bytearray(open(path, "rb").read())
         blob[-1] ^= 0xFF
         open(path, "wb").write(bytes(blob))
+        final = stream_past_busy(client, "web", bindings, text)
+        assert final.ack == "OK NEW"  # degraded, not dead
+        assert final.status == "done"
+        assert served_races(control, "web") \
+            == offline_race_lines(trace, bindings)
+        assert control.stats()["counters"][
+            "tenant_checkpoints_rejected"] >= 1
+
+    def test_version_2_checkpoint_degrades_to_fresh(self, make_server,
+                                                     tmp_path):
+        # A version-2 file pickles an analyzer whose detector layout this
+        # build no longer has: the version guard must reject it instead
+        # of resuming that analyzer, and the retry must be a fresh
+        # analysis byte-identical to the offline one.
+        host = make_server(session=resume_session_config(tmp_path))
+        client = ServiceClient(host.config.socket_path)
+        control = ControlClient(host.config.control_path)
+        text, bindings, trace = tenant_trace_text(RACY_SEED)
+        torn = client.stream_text("web", bindings, text,
+                                  truncate_at=(len(text) * 3) // 4)
+        assert torn.status == "disconnected"
+        directory = str(tmp_path / "ckpt")
+        path = tenant_checkpoint_path(directory, "web")
+        _wait_for(lambda: os.path.exists(path), timeout=30,
+                  what="the disconnect checkpoint")
+        checkpoint = pickle.loads(
+            read_sealed_payload(path, magic=TENANT_MAGIC))
+        assert checkpoint.version == TENANT_CHECKPOINT_VERSION == 3
+        checkpoint.version = 2
+        save_tenant_checkpoint(directory, checkpoint)
+        with pytest.raises(CheckpointError, match="version 2"):
+            load_tenant_checkpoint(directory, "web")
         final = stream_past_busy(client, "web", bindings, text)
         assert final.ack == "OK NEW"  # degraded, not dead
         assert final.status == "done"
